@@ -8,11 +8,7 @@
  *
  * RunResult.wallSeconds measures Core::run() only; workload assembly
  * and functional fast-forward are excluded. Runs serially (one
- * worker) so per-run wall times are undistorted. With batching
- * (`--batch B`, default auto) each batch's wall time is attributed
- * to its lanes proportionally to simulated cycles, so per-lane
- * cycles/sec stays the comparable figure of merit at any batch
- * size.
+ * worker) so per-run wall times are undistorted.
  *
  * `--policy sched=X,rf=Y` pins the scheduler and register-file
  * policies by registry key; either value may be `all`, which expands
@@ -25,8 +21,8 @@
  * summary row per combo.
  *
  * `--json FILE` additionally writes the measurements as one
- * "hpa.micro-throughput.v2" document — the batch size, the per-lane
- * throughput mean, and per-run (per-lane) cycles/sec — so CI (the
+ * "hpa.micro-throughput.v3" document — the per-run throughput mean
+ * and per-run cycles/sec — so CI (the
  * `perf` ctest label) and tools/compare_bench.py can track
  * throughput over time. In sweep mode each run also carries its
  * machine name and engine, which keeps compare_bench.py's
@@ -90,7 +86,6 @@ int
 main(int argc, char **argv)
 {
     std::string json_out;
-    unsigned batch = 0;
     std::string sched_policy;
     std::string rf_policy;
     std::string engine_opt = "masked";
@@ -99,8 +94,6 @@ main(int argc, char **argv)
         std::string a = argv[i];
         if (a == "--json" && i + 1 < argc) {
             json_out = argv[++i];
-        } else if (a == "--batch" && i + 1 < argc) {
-            batch = unsigned(std::strtoul(argv[++i], nullptr, 10));
         } else if (a == "--sched-policy" && i + 1 < argc) {
             sched_policy = argv[++i];
         } else if (a == "--rf-policy" && i + 1 < argc) {
@@ -148,7 +141,7 @@ main(int argc, char **argv)
         if (bad_cli) {
             std::fprintf(
                 stderr,
-                "usage: micro_throughput [--batch B] "
+                "usage: micro_throughput "
                 "[--policy sched=X,rf=Y] "
                 "[--sched-engine masked|reference|both] "
                 "[--sched-policy P] [--rf-policy P] "
@@ -202,9 +195,6 @@ main(int argc, char **argv)
     };
     std::vector<Sample> samples;
 
-    std::printf("batched replay: %u lanes%s\n",
-                sim::SweepRunner::resolveBatch(batch),
-                batch == 0 ? " (auto)" : "");
     if (sweep_mode)
         std::printf("policy sweep: %zu combos "
                     "(per-combo totals below)\n",
@@ -222,11 +212,8 @@ main(int argc, char **argv)
     };
     std::vector<ComboRow> combo_rows;
     double grand_cycles = 0, grand_secs = 0;
-    size_t batches_formed = 0;
     for (const Combo &combo : combos) {
-        // One sweep per combo over both widths so cells sharing a
-        // workload trace can actually batch (the engine groups by
-        // workload; each group holds the 4-wide and 8-wide lanes).
+        // One sweep per combo over both widths.
         std::vector<sim::SweepJob> jobs;
         std::vector<std::string> machine_names;
         for (unsigned width : widths) {
@@ -245,14 +232,10 @@ main(int argc, char **argv)
             b.schedEngine(combo.engine);
             sim::Machine m = b.build();
             machine_names.push_back(m.name);
-            for (const auto &name : names) {
+            for (const auto &name : names)
                 jobs.push_back(job(name, m, budget));
-                jobs.back().batch = batch;
-            }
         }
-        sim::SweepRunner runner(1);
-        auto all = runner.run(std::move(jobs));
-        batches_formed += runner.batchesFormed();
+        auto all = sim::SweepRunner(1).run(std::move(jobs));
 
         double combo_cycles = 0, combo_secs = 0;
         for (size_t wi = 0; wi < widths.size(); ++wi) {
@@ -325,26 +308,21 @@ main(int argc, char **argv)
                          json_out.c_str());
             return 1;
         }
-        double lane_sum = 0;
+        double run_sum = 0;
         for (const auto &s : samples)
-            lane_sum += s.cyclesPerSec;
+            run_sum += s.cyclesPerSec;
         stats::json::JsonWriter jw(os);
         jw.beginObject()
-            .kv("schema", "hpa.micro-throughput.v2")
+            .kv("schema", "hpa.micro-throughput.v3")
             .kv("insts_per_run", budget)
-            .kv("batch",
-                uint64_t(sim::SweepRunner::resolveBatch(batch)))
-            .kv("batches_formed", uint64_t(batches_formed))
             .kv("total_simulated_cycles", uint64_t(grand_cycles))
             .kv("total_wall_seconds", grand_secs, 4)
             .kv("aggregate_cycles_per_sec",
                 grand_secs > 0 ? grand_cycles / grand_secs : 0.0, 0)
-            // Mean per-lane throughput: each run's wall share is its
-            // cycle-proportional slice of its batch, so this tracks
-            // the per-config replay rate independent of batch width.
+            // Mean per-run throughput: the per-config replay rate.
             .kv("lane_cycles_per_sec",
                 samples.empty() ? 0.0
-                                : lane_sum / double(samples.size()),
+                                : run_sum / double(samples.size()),
                 0)
             .key("runs")
             .beginArray();

@@ -220,7 +220,6 @@ RunResult::toJson(stats::json::JsonWriter &jw, bool with_stats,
         .kv("status", statusName(outcome.status))
         .kv("valid", valid())
         .kv("steady_missing", outcome.steadyMissing)
-        .kv("attempts", outcome.attempts)
         .kv("ipc", ipc)
         .kv("committed", committed)
         .kv("cycles", cycles)

@@ -56,37 +56,13 @@ enum class FaultKind
     /** Stop commit after fault_cycle; the watchdog must trip a
      *  Deadlock. */
     BlockCommit,
-    /** Fail (WorkloadError) on the first attempt only — exercises
-     *  max_retries recovery. */
-    FlakyOnce,
-    /**
-     * Process-level: kill the whole worker process (SIGKILL) after
-     * the cell computed its result but before it reaches the
-     * journal — the closest controllable stand-in for an OOM kill or
-     * power loss mid-cell. Only honoured by the job-store execution
-     * paths (sim/shard.hh), which arm it exactly once per store via
-     * an on-disk marker so the resumed/reclaimed retry runs clean;
-     * the plain in-memory SweepRunner ignores it.
-     */
-    CrashProcess,
-    /**
-     * Process-level: the worker claims the cell's lease, then stops
-     * renewing the heartbeat and stalls past the lease timeout
-     * before running — so the coordinator/peers reclaim and re-queue
-     * the cell while this worker is still "executing" it. When the
-     * stalled worker finally finishes it must notice it lost the
-     * lease and discard its result (no duplicate journal record).
-     * Only meaningful under lease-based sharding (ShardWorker);
-     * armed once per store, ignored elsewhere.
-     */
-    StallHeartbeat,
 };
 
 /**
  * How one run actually ended: status, the error (kind + one-line
- * text + context) when it did not end well, how many attempts it
- * took, and data-quality caveats that are not errors (a requested
- * fast-forward with no `steady:` symbol).
+ * text + context) when it did not end well, and data-quality caveats
+ * that are not errors (a requested fast-forward with no `steady:`
+ * symbol).
  */
 struct RunOutcome
 {
@@ -98,13 +74,6 @@ struct RunOutcome
     std::string error;
     /** Failure context (cycle, committed, machine, workload, dump). */
     SimContext context;
-    /** Attempts consumed (1 = first try; > 1 means retries). */
-    unsigned attempts = 1;
-    /** Total milliseconds slept in retry backoff before the final
-     *  attempt (0 when the first attempt succeeded). Recorded so
-     *  journal records and artifacts can attribute wall time lost to
-     *  recovery, not simulation. */
-    uint64_t backoffMs = 0;
     /** fast_forward was requested but the kernel has no `steady:`
      *  symbol — the run timed the initialization code too. */
     bool steadyMissing = false;
@@ -218,31 +187,9 @@ struct ExperimentSpec
      */
     bool trace_cache = true;
 
-    /**
-     * Batched replay width: how many cells sharing this workload's
-     * trace may be replayed in one pass by a single worker, their
-     * lanes ticked in interleaved quanta so the shared trace stream
-     * stays cache-hot across machine configs (sim::BatchedSimulation).
-     * 0 = auto (SweepRunner::resolveBatch), 1 = replay each cell
-     * alone. Purely a data-layout/scheduling knob: results are
-     * bit-identical for every batch size. Cells that need run-level
-     * isolation — fault injection, wall budgets, live emulators
-     * (trace_cache off) — always fall back to solo replay so
-     * RunOutcome isolation is preserved.
-     */
-    unsigned batch = 0;
-
     /** Per-run wall-clock budget in seconds (0 = unbounded). The
      *  core checks it cooperatively and raises hpa::Timeout. */
     double wall_budget_seconds = 0.0;
-    /** Extra attempts after a failed/timed-out run before the cell
-     *  is reported failed (0 = no retries). */
-    unsigned max_retries = 0;
-    /** Base of the exponential retry backoff in milliseconds: the
-     *  sleep before attempt N+1 is base * 2^(N-1) plus a
-     *  deterministic jitter, capped (SweepRunner::backoffDelayMs).
-     *  0 disables sleeping between retries (tests). */
-    unsigned retry_backoff_ms = 25;
 
     /** Test-only fault injection (FaultKind::None in production). */
     FaultKind fault = FaultKind::None;
@@ -304,10 +251,11 @@ struct RunResult
     stats::Registry statsRegistry() const;
 
     /**
-     * Serialize onto @p jw as one "hpa.run.v2" object: the spec,
+     * Serialize onto @p jw as one "hpa.run.v3" object: the spec,
      * the status/error outcome, the metrics and (optionally) the
-     * full stats snapshot. v2 adds status, valid, steady_missing,
-     * attempts and — on failed cells — error_kind/error over v1.
+     * full stats snapshot. v2 added status, valid, steady_missing,
+     * attempts and — on failed cells — error_kind/error over v1;
+     * v3 drops attempts (cells are never retried).
      * Wall-clock fields are emitted only when @p with_timing — keep
      * them out of committed reference artifacts, which must be
      * reproducible byte-for-byte.
@@ -320,7 +268,7 @@ struct RunResult
                 bool with_timing = false) const;
 
     /** Schema tag of toJson() documents. */
-    static constexpr const char *JSON_SCHEMA = "hpa.run.v2";
+    static constexpr const char *JSON_SCHEMA = "hpa.run.v3";
 };
 
 } // namespace hpa::sim

@@ -7,15 +7,6 @@
  * programs built once process-wide (thread-safe cache), and results
  * returned in submission order so table printing — and the stats
  * themselves — are identical to a serial run.
- *
- * On top of the thread pool the engine batches: cells that replay
- * the same shared trace (same workload, scale, budget, fast-forward)
- * are grouped into chunks of ExperimentSpec::batch lanes and run by
- * one worker as a BatchedSimulation, amortizing the trace decode
- * stream across machine configs. Batching never changes results —
- * lanes share only the immutable trace — and cells that need
- * run-level isolation (fault injection, wall budgets, trace_cache
- * off) always run solo.
  */
 
 #ifndef HPA_SIM_SWEEP_HH
@@ -64,22 +55,14 @@ class SweepRunner
     /**
      * Run all jobs; result[i] corresponds to jobs[i]. Jobs are fault
      * isolated: a job that throws (invariant violation, deadlock,
-     * timeout, bad workload) or exhausts its retries is returned as a
-     * Failed/TimedOut cell — with the error kind, one-line text and
-     * failure context in its RunOutcome — and never disturbs the
-     * other cells, whose results stay bit-identical to a fault-free
-     * run. Callers that still want all-or-nothing semantics wrap the
-     * result in requireAllOk().
+     * timeout, bad workload) is returned as a Failed/TimedOut cell
+     * — with the error kind, one-line text and failure context in
+     * its RunOutcome — and never disturbs the other cells, whose results stay bit-identical to a fault-free
+     * run. Cells are deterministic, so a failed cell is reported,
+     * never retried. Callers that still want all-or-nothing
+     * semantics wrap the result in requireAllOk().
      */
     std::vector<SweepResult> run(std::vector<SweepJob> jobs);
-
-    /**
-     * Run one job synchronously on the calling thread, including its
-     * retry loop and fault injection. Never throws for per-run
-     * failures — they are filed into the returned RunOutcome.
-     */
-    static SweepResult runOne(const SweepJob &job,
-                              workloads::WorkloadCache &cache);
 
     /**
      * Deterministic parallel loop: fn(0..n-1) each exactly once,
@@ -93,45 +76,9 @@ class SweepRunner
     /** Resolve a --jobs style request: 0 means hardware threads. */
     static unsigned resolveJobs(unsigned requested);
 
-    /**
-     * Exponential retry backoff with deterministic jitter: the sleep
-     * before attempt @p attempt + 1, in milliseconds —
-     * base * 2^(attempt-1), capped at 2 s, plus a hash-derived jitter
-     * of up to 25% so co-failing workers decorrelate without any
-     * global randomness (same seed + attempt → same delay, so runs
-     * stay reproducible). @p base_ms 0 disables sleeping (tests).
-     */
-    static unsigned backoffDelayMs(unsigned attempt, uint64_t seed,
-                                   unsigned base_ms = 25);
-
-    /** Batched-replay width when ExperimentSpec::batch is 0 (auto).
-     *  Eight lanes keep the shared trace span cache-resident while
-     *  amortizing its decode across most of a reproduction sweep's
-     *  machines per workload. */
-    static constexpr unsigned DEFAULT_BATCH = 8;
-
-    /** Resolve an ExperimentSpec::batch request: 0 means
-     *  DEFAULT_BATCH, anything else is taken literally. */
-    static unsigned resolveBatch(unsigned requested);
-
-    /** True when @p job may share a BatchedSimulation with
-     *  lane-mates: trace-replayed, fault-free, and not under a wall
-     *  budget (wall deadlines are per-run and would be distorted by
-     *  interleaving; faulted cells keep their solo RunOutcome
-     *  isolation). Non-batchable jobs run solo — same results,
-     *  no sharing. */
-    static bool batchable(const SweepJob &job);
-
-    /** Batches formed by the most recent run() (diagnostics). */
-    size_t batchesFormed() const { return batchesFormed_; }
-    /** Widest batch actually formed by the most recent run(). */
-    size_t lanesMax() const { return lanesMax_; }
-
   private:
     unsigned jobs_;
     workloads::WorkloadCache *cache_;
-    size_t batchesFormed_ = 0;
-    size_t lanesMax_ = 0;
 };
 
 /**

@@ -368,7 +368,7 @@ TEST(SimCliBinary, RunJsonCarriesSpecAndMetrics)
     std::string err;
     ASSERT_TRUE(stats::json::validate(r.out, &err)) << err;
     EXPECT_EQ(stats::json::findStringField(r.out, "schema"),
-              "hpa.run.v2");
+              "hpa.run.v3");
     EXPECT_EQ(stats::json::findStringField(r.out, "workload"), "gzip");
     EXPECT_EQ(stats::json::findStringField(r.out, "status"), "ok");
     EXPECT_NE(r.out.find("\"valid\": true"), std::string::npos);

@@ -10,14 +10,12 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/core.hh"
-#include "core/core_lane.hh"
 #include "core/inst_source.hh"
 #include "func/trace.hh"
 #include "sim/experiment.hh"
@@ -204,52 +202,6 @@ TEST(HotPathAlloc, ReferenceEngineGzip)
     core::CoreConfig cfg = core::fourWideConfig();
     cfg.sched_engine = core::SchedEngine::Reference;
     expectSteadyStateAllocFree("gzip", cfg);
-}
-
-/** Batched replay must not reintroduce per-cycle allocation: warm a
- *  batch of lanes over one shared trace, then count across further
- *  tickQuantum rotations. The quantum switchovers themselves are on
- *  the measured path — rotating lanes is steady state, not setup. */
-TEST(HotPathAlloc, BatchedLanesTickAllocFree)
-{
-    const uint64_t budget = 60000;
-    const uint64_t warm_insts = 30000;
-    const uint64_t quantum = 1024;
-
-    auto &cache = workloads::globalCache();
-    const workloads::Workload &w = cache.get("gzip");
-    const func::CommittedTrace &trace =
-        cache.trace("gzip", workloads::Scale::Full, budget,
-                    steadyPc(w));
-
-    std::vector<std::unique_ptr<core::CoreLane>> lanes;
-    lanes.push_back(std::make_unique<core::CoreLane>(
-        core::fourWideConfig(), trace));
-    lanes.push_back(std::make_unique<core::CoreLane>(
-        core::eightWideConfig(), trace));
-
-    // Warm every lane past its high-water marks, interleaved the way
-    // BatchedSimulation rotates them.
-    bool more = true;
-    while (more
-           && lanes[0]->core().stats().committed.value() < warm_insts) {
-        more = false;
-        for (auto &lane : lanes)
-            more = lane->tickQuantum(quantum, 0) || more;
-    }
-    ASSERT_TRUE(more) << "trace exhausted during warm-up";
-
-    g_allocs.store(0);
-    g_armed.store(true);
-    for (int rotations = 0; rotations < 4 && more; ++rotations) {
-        more = false;
-        for (auto &lane : lanes)
-            more = lane->tickQuantum(quantum, 0) || more;
-    }
-    g_armed.store(false);
-
-    EXPECT_EQ(g_allocs.load(), 0u)
-        << "batched lane rotation allocated in steady state";
 }
 
 } // namespace

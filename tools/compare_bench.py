@@ -2,9 +2,10 @@
 """Compare two throughput-benchmark JSON artifacts.
 
 Diffs a baseline and a candidate BENCH_sweep.json
-("hpa.bench-sweep.v2"/"v3" — v3 only adds per-run policy names, so
-the two are throughput-comparable) or micro_throughput --json
-artifact ("hpa.micro-throughput.v1") and flags throughput
+("hpa.bench-sweep.v2"/"v3"/"v4" — v3 only adds per-run policy names
+and v4 only drops the batching and retry fields, so all three are
+throughput-comparable) or micro_throughput --json artifact
+("hpa.micro-throughput.v1"/"v2"/"v3") and flags throughput
 regressions:
 
   tools/compare_bench.py docs/runs/BENCH_sweep_before.json BENCH_sweep.json
@@ -28,8 +29,10 @@ import sys
 KNOWN_SCHEMAS = (
     "hpa.bench-sweep.v2",
     "hpa.bench-sweep.v3",
+    "hpa.bench-sweep.v4",
     "hpa.micro-throughput.v1",
     "hpa.micro-throughput.v2",
+    "hpa.micro-throughput.v3",
 )
 
 
@@ -203,8 +206,8 @@ def main():
     base = load(args.baseline)
     cand = load(args.candidate)
 
-    # Schemas must be the same *family*; bench-sweep v2 vs v3 is fine
-    # (v3 only adds per-run policy names, the metrics are unchanged).
+    # Schemas must be the same *family*; bench-sweep v2 vs v4 is fine
+    # (the versions add or drop fields, the metrics are unchanged).
     def family(doc):
         return doc.get("schema", "").rsplit(".", 1)[0]
 

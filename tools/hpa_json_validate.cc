@@ -50,6 +50,10 @@ requiredFields()
              {"workload", "machine", "status", "valid",
               "steady_missing", "attempts", "ipc", "committed",
               "cycles"}},
+            // v3 drops attempts (cells are never retried).
+            {"hpa.run.v3",
+             {"workload", "machine", "status", "valid",
+              "steady_missing", "ipc", "committed", "cycles"}},
             {"hpa.bench-sweep.v2",
              {"insts_per_run", "batch", "batches_formed",
               "lanes_max", "ok_runs", "failed_runs", "runs",
@@ -59,16 +63,21 @@ requiredFields()
              {"insts_per_run", "batch", "batches_formed",
               "lanes_max", "ok_runs", "failed_runs", "runs",
               "status", "valid", "sched_policy", "rf_policy"}},
+            // v4 drops the batching and retry fields.
+            {"hpa.bench-sweep.v4",
+             {"insts_per_run", "ok_runs", "failed_runs", "runs",
+              "status", "valid", "sched_policy", "rf_policy"}},
             {"hpa.sweep-golden.v1", {"insts_per_run"}},
-            {"hpa.sweep-journal.v1",
-             {"spec_key", "workload", "machine", "status",
-              "attempts", "backoff_ms", "ipc", "committed",
-              "cycles", "worker"}},
             {"hpa.micro-throughput.v1",
              {"insts_per_run", "total_simulated_cycles",
               "aggregate_cycles_per_sec", "runs"}},
             {"hpa.micro-throughput.v2",
              {"insts_per_run", "batch", "total_simulated_cycles",
+              "aggregate_cycles_per_sec", "lane_cycles_per_sec",
+              "runs"}},
+            // v3 drops batch and batches_formed.
+            {"hpa.micro-throughput.v3",
+             {"insts_per_run", "total_simulated_cycles",
               "aggregate_cycles_per_sec", "lane_cycles_per_sec",
               "runs"}},
         };

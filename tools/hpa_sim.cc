@@ -90,7 +90,7 @@ robustness:
 structured output (FILE may be '-' for stdout; writing any document
 to stdout suppresses the human-readable summary):
   --json FILE         the whole run — spec, metrics, status, full
-                      stats — as one "hpa.run.v2" JSON document
+                      stats — as one "hpa.run.v3" JSON document
   --stats-json FILE   just the statistics registry, "hpa.stats.v1"
   --stats-csv FILE    the statistics as a CSV header/data row pair
 

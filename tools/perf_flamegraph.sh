@@ -8,8 +8,7 @@
 #
 # Usage: tools/perf_flamegraph.sh [-- <hpa_bench_sweep args>]
 #   HPA_PROFILE_DIR   output dir (default: profile/)
-#   default workload: hpa_bench_sweep --insts 50000 --batch 1
-#                     (batch 1 keeps per-config attribution clean)
+#   default workload: hpa_bench_sweep --insts 50000
 #
 # Outputs, depending on tooling:
 #   perf path:  profile/perf.data, profile/folded.txt
@@ -21,7 +20,7 @@ cd "$(dirname "$0")/.."
 OUT="${HPA_PROFILE_DIR:-profile}"
 mkdir -p "$OUT"
 
-ARGS=(--insts 50000 --batch 1)
+ARGS=(--insts 50000)
 if [ "${1:-}" = "--" ]; then
     shift
     ARGS=("$@")

@@ -94,6 +94,24 @@ parseNumber(const std::string &text, uint64_t &out)
     return true;
 }
 
+/** Strict parse of option @p opt's value into an `unsigned`:
+ *  parseNumber() plus a range check, so an oversized value is an
+ *  error rather than silently truncated. @return the one-line
+ *  error, or "" on success. */
+inline std::string
+parseUnsignedOption(const std::string &opt, const std::string &text,
+                    unsigned &out)
+{
+    uint64_t wide = 0;
+    if (!parseNumber(text, wide))
+        return opt + " expects an unsigned integer"
+            + (text.empty() ? "" : ", got '" + text + "'");
+    if (wide > std::numeric_limits<unsigned>::max())
+        return opt + " value out of range";
+    out = unsigned(wide);
+    return "";
+}
+
 /** Scheduler-policy lookup over the registry ("conv", "seq",
  *  "seq-nopred", "tag-elim", "dlt", ...). */
 inline bool
@@ -194,15 +212,10 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
             return true;
         };
         auto needUnsigned = [&](unsigned *v) {
-            uint64_t wide = 0;
-            if (!needNumber(&wide))
-                return false;
-            if (wide > std::numeric_limits<unsigned>::max()) {
-                err = a + " value out of range";
-                return false;
-            }
-            *v = unsigned(wide);
-            return true;
+            std::string text;
+            need(&text);
+            err = parseUnsignedOption(a, text, *v);
+            return err.empty();
         };
         std::string v;
         if (a == "--help" || a == "-h") {
