@@ -12,20 +12,19 @@
  *
  * `--policy sched=X,rf=Y` pins the scheduler and register-file
  * policies by registry key; either value may be `all`, which expands
- * that axis to every registered policy. Combined with
- * `--sched-engine both` this sweeps the full policy zoo on both the
- * masked and the reference scheduler engine — the `perf` ctest label
- * runs exactly that, so every zoo policy's hot path is timed on both
- * engines, not just the paper four. With a single combo the output
+ * that axis to every registered policy, so `--policy sched=all,rf=all`
+ * sweeps the full policy zoo — the `perf` ctest label runs exactly
+ * that, so every zoo policy's hot path is timed, not just the paper
+ * four. With a single combo the output
  * is the detailed per-workload table; a multi-combo sweep prints one
  * summary row per combo.
  *
  * `--json FILE` additionally writes the measurements as one
- * "hpa.micro-throughput.v3" document — the per-run throughput mean
+ * "hpa.micro-throughput.v4" document — the per-run throughput mean
  * and per-run cycles/sec — so CI (the
  * `perf` ctest label) and tools/compare_bench.py can track
  * throughput over time. In sweep mode each run also carries its
- * machine name and engine, which keeps compare_bench.py's
+ * machine name, which keeps compare_bench.py's
  * machine|workload run keys unique across combos.
  */
 
@@ -42,13 +41,12 @@ using namespace hpa::benchutil;
 namespace
 {
 
-/** One point of the policy x engine sweep. Empty policy string =
- *  the base machine's default for that axis. */
+/** One point of the policy sweep. Empty policy string = the base
+ *  machine's default for that axis. */
 struct Combo
 {
     std::string sched;
     std::string rf;
-    core::SchedEngine engine;
 
     std::string
     label() const
@@ -57,8 +55,6 @@ struct Combo
         s += sched.empty() ? "base" : sched;
         s += ",rf=";
         s += rf.empty() ? "base" : rf;
-        s += ",engine=";
-        s += core::schedEngineName(engine);
         return s;
     }
 };
@@ -88,7 +84,6 @@ main(int argc, char **argv)
     std::string json_out;
     std::string sched_policy;
     std::string rf_policy;
-    std::string engine_opt = "masked";
     bool bad_cli = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -98,8 +93,6 @@ main(int argc, char **argv)
             sched_policy = argv[++i];
         } else if (a == "--rf-policy" && i + 1 < argc) {
             rf_policy = argv[++i];
-        } else if (a == "--sched-engine" && i + 1 < argc) {
-            engine_opt = argv[++i];
         } else if (a == "--policy" && i + 1 < argc) {
             // k=v pairs, comma-separated: sched=X,rf=Y. Either value
             // may be "all" (expand to the full registry).
@@ -143,7 +136,6 @@ main(int argc, char **argv)
                 stderr,
                 "usage: micro_throughput "
                 "[--policy sched=X,rf=Y] "
-                "[--sched-engine masked|reference|both] "
                 "[--sched-policy P] [--rf-policy P] "
                 "[--json FILE]\n"
                 "  scheduler policies (or 'all'): %s\n"
@@ -154,27 +146,11 @@ main(int argc, char **argv)
         }
     }
 
-    std::vector<core::SchedEngine> engines;
-    if (engine_opt == "both") {
-        engines = {core::SchedEngine::Masked,
-                   core::SchedEngine::Reference};
-    } else {
-        core::SchedEngine e;
-        if (!core::parseSchedEngine(engine_opt, e)) {
-            std::fprintf(stderr,
-                         "--sched-engine expects masked | reference "
-                         "| both\n");
-            return 2;
-        }
-        engines = {e};
-    }
-
     std::vector<Combo> combos;
     for (const auto &s :
          expandAxis(sched_policy, core::schedPolicies()))
         for (const auto &r : expandAxis(rf_policy, core::rfPolicies()))
-            for (core::SchedEngine e : engines)
-                combos.push_back(Combo{s, r, e});
+            combos.push_back(Combo{s, r});
     const bool sweep_mode = combos.size() > 1;
 
     uint64_t budget = instBudget();
@@ -187,7 +163,6 @@ main(int argc, char **argv)
         unsigned width;
         std::string bench;
         std::string machine;
-        std::string engine;
         uint64_t cycles;
         uint64_t committed;
         double wallSeconds;
@@ -229,7 +204,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "%s\n", e.what());
                 return 2;
             }
-            b.schedEngine(combo.engine);
             sim::Machine m = b.build();
             machine_names.push_back(m.name);
             for (const auto &name : names)
@@ -251,7 +225,6 @@ main(int argc, char **argv)
                 total_insts += double(r.committed);
                 samples.push_back(
                     Sample{width, names[i], machine_names[wi],
-                           core::schedEngineName(combo.engine),
                            r.cycles, r.committed, r.wallSeconds,
                            r.cyclesPerSec()});
             }
@@ -313,7 +286,7 @@ main(int argc, char **argv)
             run_sum += s.cyclesPerSec;
         stats::json::JsonWriter jw(os);
         jw.beginObject()
-            .kv("schema", "hpa.micro-throughput.v3")
+            .kv("schema", "hpa.micro-throughput.v4")
             .kv("insts_per_run", budget)
             .kv("total_simulated_cycles", uint64_t(grand_cycles))
             .kv("total_wall_seconds", grand_secs, 4)
@@ -329,12 +302,10 @@ main(int argc, char **argv)
         for (const auto &s : samples) {
             jw.beginObject();
             // In sweep mode the same width|workload pair recurs once
-            // per combo; the machine name + engine disambiguate (and
-            // switch compare_bench.py to machine|workload keys).
-            if (sweep_mode) {
-                jw.kv("machine", s.machine)
-                    .kv("engine", s.engine);
-            }
+            // per combo; the machine name disambiguates (and switches
+            // compare_bench.py to machine|workload keys).
+            if (sweep_mode)
+                jw.kv("machine", s.machine);
             jw.kv("width", uint64_t(s.width))
                 .kv("workload", s.bench)
                 .kv("cycles", s.cycles)

@@ -186,32 +186,31 @@ class Core
     // --- Testing hooks (scheduler data-structure invariants). ---
 
     /** Snapshot of the incremental ready set: window slots of
-     *  unissued, scheduler-ready instructions, oldest first —
-     *  whichever engine maintains it. */
+     *  unissued, scheduler-ready instructions, oldest first. */
     std::vector<unsigned>
     readyListSnapshot() const
     {
-        return masked_ ? masks_.ready.toVector(head_)
-                       : ready_.toVector();
+        return masks_.ready.toVector(head_);
     }
 
     /** Snapshot of the issued-but-incomplete set, oldest first. */
     std::vector<unsigned>
     issuedListSnapshot() const
     {
-        return masked_ ? masks_.issued.toVector(head_)
-                       : issued_.toVector();
+        return masks_.issued.toVector(head_);
     }
 
-    /** The masked engine's bit planes (ReadyMaskFuzz inspection). */
+    /** The issue window's bit planes (ReadyMaskFuzz inspection). */
     const IssueWindowMasks &issueMasks() const { return masks_; }
 
     /**
      * Recompute scheduler readiness by brute force over the whole
      * window and check it matches the incrementally maintained
-     * ready list (same members, oldest-first order), and that the
-     * store/issued side lists match the window too. Used by the
-     * fuzz tests; O(window), never called on the hot path.
+     * ready plane (same members, oldest-first order), that the
+     * store/issued side sets match the window too, and that every
+     * in-window producer -> consumer dependence has its dependency-
+     * matrix bit. Used by the fuzz tests; O(window), never called
+     * on the hot path.
      */
     bool readyListConsistent() const;
 
@@ -251,9 +250,9 @@ class Core
 
     // --- Test-only fault injection (sim/sweep fault hooks). ---
 
-    /** At @p cycle, corrupt the incremental ready list (append a
-     *  duplicate/phantom slot) — the periodic cross-validation must
-     *  then report an InvariantViolation. Test-only. */
+    /** At @p cycle, corrupt the ready plane (toggle the head slot's
+     *  bit) — the periodic cross-validation must then report an
+     *  InvariantViolation. Test-only. */
     void
     testCorruptSchedulerAt(uint64_t cycle)
     {
@@ -288,13 +287,6 @@ class Core
         uint32_t token;
         int16_t slot;
         EventKind kind;
-    };
-
-    struct Consumer
-    {
-        int slot;
-        uint8_t opIdx;
-        uint64_t seq;
     };
 
     struct FetchedInst
@@ -336,8 +328,9 @@ class Core
     /** SimContext for a failure raised now: cycle, commit progress
      *  and the pipeline-state dump. */
     hpa::SimContext invariantContext() const;
-    /** Re-derive the ready/issued/store lists from the window and
-     *  describe the first divergence (empty string = consistent). */
+    /** Re-derive the ready/issued/store sets and the dependency
+     *  matrix from the window and describe the first divergence
+     *  (empty string = consistent). */
     std::string sideListDivergence() const;
     /** Watchdog / deadline / cross-check / fault-injection hooks;
      *  everything rare-but-per-cycle, kept out of tick()'s hot
@@ -346,14 +339,11 @@ class Core
 
     void setupOperands(DynInst &di, int slot);
     void updateReadySlot(unsigned slot);
-    void readyRemove(unsigned slot);
-    void issuedInsert(unsigned slot);
-    void issuedRemove(unsigned slot);
     bool eligible(const DynInst &di) const;
     bool lsqAllowsLoad(const DynInst &load) const;
     unsigned computeRfPorts(const DynInst &di) const;
-    /** One select-candidate attempt shared by both engines; issues
-     *  on success. @return false when the width budget is spent. */
+    /** One select-candidate attempt; issues on success.
+     *  @return false when the width budget is spent. */
     bool selectTry(unsigned slot, int pass, unsigned &avail,
                    unsigned &ports_left, bool arbitrated);
     /** @p ports is the candidate's computeRfPorts() value, computed
@@ -504,43 +494,27 @@ class Core
     uint64_t cycle_ = 0;
     uint64_t nextSeq_ = 0;
 
-    // Window: ring buffer of slots. Slot s's consumer list holds
-    // the operands watching s's destination tag; pooled so dispatch
-    // appends and commit/reuse clears never touch the heap.
+    // Window: ring buffer of slots, oldest at head_.
     std::vector<DynInst> window_;
-    PooledLists<Consumer> consumers_;
     unsigned head_ = 0;
     unsigned tail_ = 0;
     unsigned windowCount_ = 0;
     unsigned lsqCount_ = 0;
 
     // --- Incrementally maintained scheduler indices. ---
-    // The per-cycle whole-window scans of select, the LSQ search and
-    // replay candidate collection are replaced by these seq-ordered
-    // (= program-ordered, the window is a FIFO) side lists, so each
-    // pipeline phase touches only the instructions it actually acts
-    // on while preserving oldest-first priority bit-for-bit.
+    // Select, wakeup broadcast and replay candidate collection walk
+    // these instead of the whole window, so each pipeline phase
+    // touches only the instructions it acts on. Age order from
+    // head_ equals seq (= program) order, the window being a FIFO,
+    // so every scan preserves oldest-first priority.
 
-    /** Unissued, scheduler-ready instructions (ready-list select).
-     *  Entries join on wakeup/insert, leave on issue or when replay
-     *  repair takes a tag match away. Intrusive chain in seq order:
-     *  unlink is O(1), insert walks backward from the tail. */
-    SlotChain ready_;
-    /** Issued-but-incomplete instructions: the replay-shadow
-     *  candidate set of squashWindow(). Seq-ordered chain. */
-    SlotChain issued_;
     /** In-window stores in program order (LSQ overlap searches);
-     *  occupancy bounded by the window size. Both engines share it. */
+     *  occupancy bounded by the window size. */
     BoundedRing<unsigned> storeSlots_;
 
-    // --- Masked engine (CoreConfig::sched_engine == Masked). ---
-    // The SoA bit planes replace the ready/issued chains and the
-    // pooled consumer lists; age order from head_ equals seq order
-    // (FIFO window), so every scan reproduces the chains' oldest-
-    // first visit order bit for bit. See issue_window.hh.
+    /** Ready/issued/priority bit planes, the dependency matrix and
+     *  the slow-bus plane (issue_window.hh). */
     IssueWindowMasks masks_;
-    /** Engine select, fixed at construction. */
-    bool masked_;
     /** Cached policy traits (construction-time visitPolicy): does
      *  every fast broadcast re-run on the slow bus, and does the
      *  ready predicate reduce to allSrcReady() (mask_ready_all_src)? */

@@ -133,7 +133,7 @@ struct DynInst
     bool isControl() const { return rec->inst.isControl(); }
 
     /** Pass-0 select class (Section 2.1: loads and branches first).
-     *  Fixed at dispatch; the masked engine caches it in the
+     *  Fixed at dispatch; the scheduler caches it in the
      *  highPrio bit plane. */
     bool selectHighPrio() const { return isLoad() || isControl(); }
 

@@ -132,11 +132,6 @@ class MachineBuilder
     /** Bypass-network window in cycles (>= 1, Section 4.2). */
     MachineBuilder &bypassWindow(unsigned cycles);
 
-    /** Scheduler data-structure engine (masked or reference).
-     *  Result-invariant simulator implementation choice — never
-     *  appended to the machine name (see core::SchedEngine). */
-    MachineBuilder &schedEngine(core::SchedEngine e);
-
     /** Tag-elimination scoreboard detection delay (>= 1); requires
      *  WakeupModel::TagElimination. */
     MachineBuilder &detectDelay(unsigned cycles);
@@ -174,18 +169,6 @@ struct ExperimentSpec
     /** Fast-forward functionally to the kernel's `steady:` label. */
     bool fast_forward = true;
     workloads::Scale scale = workloads::Scale::Full;
-
-    /**
-     * Replay the workload's committed stream from a shared,
-     * capture-once trace (WorkloadCache::trace()) instead of
-     * stepping a private emulator per cell. Bit-identical results —
-     * the trace replays the exact ExecRecord stream — but functional
-     * emulation is paid once per (workload, budget, fast-forward)
-     * instead of once per cell, which is what makes N-machine sweeps
-     * cheap. Off buys back the live emulator (architectural state
-     * inspection mid-run) at per-cell emulation cost.
-     */
-    bool trace_cache = true;
 
     /** Per-run wall-clock budget in seconds (0 = unbounded). The
      *  core checks it cooperatively and raises hpa::Timeout. */

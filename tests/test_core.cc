@@ -3,6 +3,7 @@
  *  technique exercised by purpose-built micro-programs. */
 
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -725,6 +726,41 @@ TEST(CommitListener, ObservesEveryCommitInOrder)
     s.run(5000000);
     EXPECT_TRUE(ordered);
     EXPECT_EQ(count, s.core().stats().committed.value());
+}
+
+// --- Pipeline-state dump. ---
+
+/** The count after "@p key=" in a dumpPipelineState() header. */
+size_t
+dumpField(const std::string &dump, const std::string &key)
+{
+    size_t at = dump.find(" " + key + "=");
+    EXPECT_NE(at, std::string::npos) << key << " missing:\n" << dump;
+    if (at == std::string::npos)
+        return 0;
+    return size_t(std::stoull(dump.substr(at + key.size() + 2)));
+}
+
+TEST(PipelineDump, ReadyAndIssuedCountsMatchTheWindow)
+{
+    // The Deadlock/InvariantViolation dump must report the live
+    // ready and issued set sizes, not a structure nothing fills.
+    core::SyntheticParams sp;
+    sp.num_insts = 2000;
+    core::SyntheticSource src(sp);
+    core::Core c(core::fourWideConfig(), src);
+    while (!c.done()
+           && (c.readyListSnapshot().empty()
+               || c.issuedListSnapshot().empty()))
+        c.tick();
+    ASSERT_FALSE(c.readyListSnapshot().empty());
+    ASSERT_FALSE(c.issuedListSnapshot().empty());
+
+    std::string dump = c.dumpPipelineState();
+    EXPECT_EQ(dumpField(dump, "ready"), c.readyListSnapshot().size())
+        << dump;
+    EXPECT_EQ(dumpField(dump, "issued"), c.issuedListSnapshot().size())
+        << dump;
 }
 
 // --- Property sweep over synthetic streams and configurations. ---

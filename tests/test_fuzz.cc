@@ -6,6 +6,7 @@
 
 #include <map>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -394,17 +395,72 @@ TEST(CoreEventOverflowFuzz, FarFutureLatenciesKeepListsConsistent)
 }
 
 /**
- * ReadyMaskFuzz: the masked engine's bit planes on randomized
- * dependence chains. Every N cycles the planes are cross-validated
- * against readyListConsistent()'s brute-force model-readiness
- * predicate (same members, oldest-first order), and the structural
- * plane invariants are checked directly: ready and issued are
- * disjoint, both are subsets of occupancy, and a dependency-matrix
- * bit only ever names an occupied consumer slot while its producer
- * is in the window. Trials randomize the chain shape (dependence
- * distance, two-source fraction, memory mix) and rotate the wakeup
- * model so the fast/slow planes and the tag-elimination path all
- * get traffic.
+ * One ReadyMaskFuzz trial: run @p cfg over @p sp's synthetic stream
+ * and, every @p every cycles, cross-validate the issue window's bit
+ * planes against readyListConsistent() — the brute-force model-
+ * readiness predicate (same members, oldest-first order) plus the
+ * dependency-matrix completeness check (every in-window producer ->
+ * consumer dependence has its bit, so no wakeup can be missed) — and
+ * check the structural plane invariants directly: ready and issued
+ * are disjoint, both are subsets of occupancy, and a dependency-
+ * matrix bit only ever names an occupied consumer slot while its
+ * producer is in the window.
+ */
+void
+runMaskTrial(const core::SyntheticParams &sp, const core::CoreConfig &cfg,
+             unsigned every, const std::string &label)
+{
+    core::SyntheticSource src(sp);
+    core::Core c(cfg, src);
+    uint64_t guard = 0;
+    while (!c.done() && guard++ < 400000) {
+        c.tick();
+        if (guard % every)
+            continue;
+        ASSERT_TRUE(c.readyListConsistent())
+            << label << " cycle " << c.cycle();
+        const core::IssueWindowMasks &m = c.issueMasks();
+        for (unsigned s = 0; s < cfg.ruu_size; ++s) {
+            ASSERT_FALSE(m.ready.test(s) && m.issued.test(s))
+                << "slot " << s << " both ready and issued, " << label
+                << " cycle " << c.cycle();
+            if (m.ready.test(s) || m.issued.test(s)) {
+                ASSERT_TRUE(m.occupancy.test(s))
+                    << "slot " << s << " ready/issued but unoccupied, "
+                    << label << " cycle " << c.cycle();
+            }
+        }
+        // While a producer is in the window, each of its dependency
+        // bits must name an occupied consumer slot (the header's
+        // lifetime invariant).
+        for (unsigned p = 0; p < cfg.ruu_size; ++p) {
+            if (!m.occupancy.test(p))
+                continue;
+            for (int plane = 0; plane < 2; ++plane) {
+                for (unsigned s = 0; s < cfg.ruu_size; ++s) {
+                    if (m.dep[plane].test(p, s)) {
+                        ASSERT_TRUE(m.occupancy.test(s))
+                            << "dep[" << plane << "] row " << p
+                            << " names unoccupied slot " << s << ", "
+                            << label << " cycle " << c.cycle();
+                    }
+                }
+            }
+        }
+    }
+    ASSERT_TRUE(c.done()) << label;
+    EXPECT_EQ(c.stats().committed.value(), sp.num_insts) << label;
+}
+
+/**
+ * ReadyMaskFuzz: the issue window's bit planes on randomized
+ * dependence chains (runMaskTrial). The randomized trials vary the
+ * chain shape (dependence distance, two-source fraction, memory mix)
+ * and rotate the wakeup model so the fast/slow planes and the
+ * tag-elimination path all get traffic; they validate every third
+ * cycle. The fixed-seed trials add dense slow-bus traffic — sequential
+ * wakeup with sequential register access, half the instructions
+ * two-source, a quarter loads — validated every cycle.
  */
 TEST(ReadyMaskFuzz, PlanesMatchModelReadinessOnRandomDepChains)
 {
@@ -415,6 +471,10 @@ TEST(ReadyMaskFuzz, PlanesMatchModelReadinessOnRandomDepChains)
         core::WakeupModel::TagElimination,
         core::WakeupModel::LoadDelayTracking,
     };
+    core::CoreConfig base = core::fourWideConfig();
+    base.ruu_size = 32;
+    base.lsq_size = 16;
+
     std::mt19937_64 rng(20260808);
     for (int trial = 0; trial < 10; ++trial) {
         core::SyntheticParams sp;
@@ -424,70 +484,13 @@ TEST(ReadyMaskFuzz, PlanesMatchModelReadinessOnRandomDepChains)
         sp.dep_distance_p = 0.15 + 0.20 * double(trial % 4);
         sp.load_frac = 0.10 + 0.10 * double(trial % 3);
         sp.store_frac = (trial % 2) ? 0.10 : 0.0;
-        core::SyntheticSource src(sp);
-
-        core::CoreConfig cfg = core::fourWideConfig();
-        cfg.ruu_size = 32;
-        cfg.lsq_size = 16;
+        core::CoreConfig cfg = base;
         cfg.wakeup = wakeups[trial % 5];
-        cfg.sched_engine = core::SchedEngine::Masked;
-        core::Core c(cfg, src);
-
-        const unsigned N = 3; // validate every N cycles
-        uint64_t guard = 0;
-        while (!c.done() && guard++ < 400000) {
-            c.tick();
-            if (guard % N)
-                continue;
-            ASSERT_TRUE(c.readyListConsistent())
-                << "trial " << trial << " cycle " << c.cycle();
-            const core::IssueWindowMasks &m = c.issueMasks();
-            for (unsigned s = 0; s < cfg.ruu_size; ++s) {
-                ASSERT_FALSE(m.ready.test(s) && m.issued.test(s))
-                    << "slot " << s << " both ready and issued, "
-                    << "trial " << trial << " cycle " << c.cycle();
-                if (m.ready.test(s) || m.issued.test(s)) {
-                    ASSERT_TRUE(m.occupancy.test(s))
-                        << "slot " << s << " ready/issued but "
-                        << "unoccupied, trial " << trial << " cycle "
-                        << c.cycle();
-                }
-            }
-            // While a producer is in the window, each of its
-            // dependency bits must name an occupied consumer slot
-            // (the header's lifetime invariant).
-            for (unsigned p = 0; p < cfg.ruu_size; ++p) {
-                if (!m.occupancy.test(p))
-                    continue;
-                for (int plane = 0; plane < 2; ++plane) {
-                    for (unsigned s = 0; s < cfg.ruu_size; ++s) {
-                        if (m.dep[plane].test(p, s)) {
-                            ASSERT_TRUE(m.occupancy.test(s))
-                                << "dep[" << plane << "] row " << p
-                                << " names unoccupied slot " << s
-                                << ", trial " << trial << " cycle "
-                                << c.cycle();
-                        }
-                    }
-                }
-            }
-        }
-        ASSERT_TRUE(c.done()) << "trial " << trial;
-        EXPECT_EQ(c.stats().committed.value(), sp.num_insts)
-            << "trial " << trial;
+        runMaskTrial(sp, cfg, 3, "trial " + std::to_string(trial));
+        if (HasFatalFailure())
+            return;
     }
-}
 
-/**
- * Lock-step differential: one masked-engine core and one
- * reference-engine core over the same synthetic stream must agree on
- * the ready and issued sets (members AND age order) every single
- * cycle, and on the cycle/commit totals at the end. This is the
- * strongest engine-equivalence statement short of the golden sweep:
- * not just same final IPC, same scheduler state at every step.
- */
-TEST(ReadyMaskFuzz, LockstepEnginesAgreeEveryCycle)
-{
     for (uint64_t seed : {11ull, 2025ull, 777777ull}) {
         core::SyntheticParams sp;
         sp.num_insts = 2000;
@@ -495,35 +498,12 @@ TEST(ReadyMaskFuzz, LockstepEnginesAgreeEveryCycle)
         sp.load_frac = 0.25;
         sp.store_frac = 0.10;
         sp.two_source_frac = 0.5;
-        core::SyntheticSource srcA(sp), srcB(sp);
-
-        core::CoreConfig cfg = core::fourWideConfig();
-        cfg.ruu_size = 32;
-        cfg.lsq_size = 16;
+        core::CoreConfig cfg = base;
         cfg.wakeup = core::WakeupModel::Sequential;
         cfg.regfile = core::RegfileModel::SequentialAccess;
-
-        core::CoreConfig cfgA = cfg, cfgB = cfg;
-        cfgA.sched_engine = core::SchedEngine::Masked;
-        cfgB.sched_engine = core::SchedEngine::Reference;
-        core::Core a(cfgA, srcA), b(cfgB, srcB);
-
-        uint64_t guard = 0;
-        while ((!a.done() || !b.done()) && guard++ < 400000) {
-            a.tick();
-            b.tick();
-            ASSERT_EQ(a.readyListSnapshot(), b.readyListSnapshot())
-                << "seed " << seed << " cycle " << a.cycle();
-            ASSERT_EQ(a.issuedListSnapshot(), b.issuedListSnapshot())
-                << "seed " << seed << " cycle " << a.cycle();
-        }
-        ASSERT_TRUE(a.done() && b.done()) << "seed " << seed;
-        EXPECT_EQ(a.cycle(), b.cycle()) << "seed " << seed;
-        EXPECT_EQ(a.stats().committed.value(),
-                  b.stats().committed.value())
-            << "seed " << seed;
-        EXPECT_EQ(a.stats().issued.value(), b.stats().issued.value())
-            << "seed " << seed;
+        runMaskTrial(sp, cfg, 1, "seed " + std::to_string(seed));
+        if (HasFatalFailure())
+            return;
     }
 }
 

@@ -185,23 +185,4 @@ TEST(HotPathAlloc, PolicyZooMachineGzip)
     expectSteadyStateAllocFree("gzip", m.cfg);
 }
 
-/** Both scheduler engines, pinned explicitly. The masked engine's
- *  bit planes and dependency matrix are flat vectors sized once at
- *  reset — wakeup broadcasts and producer clears are pure bit ops,
- *  so the zero-allocation property must hold for the matrix storage
- *  exactly as it does for the reference engine's pooled lists. */
-TEST(HotPathAlloc, MaskedEngineGzip)
-{
-    core::CoreConfig cfg = core::fourWideConfig();
-    cfg.sched_engine = core::SchedEngine::Masked;
-    expectSteadyStateAllocFree("gzip", cfg);
-}
-
-TEST(HotPathAlloc, ReferenceEngineGzip)
-{
-    core::CoreConfig cfg = core::fourWideConfig();
-    cfg.sched_engine = core::SchedEngine::Reference;
-    expectSteadyStateAllocFree("gzip", cfg);
-}
-
 } // namespace

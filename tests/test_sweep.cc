@@ -168,10 +168,11 @@ TEST(SweepDeterminism, PolicyZooMatchesSerial)
 
 TEST(SweepTraceCache, ReplayGridMatchesEmulatorGridByteForByte)
 {
-    // The trace cache is a pure host-side optimization: every cell
-    // of a grid run with job.trace_cache on must reproduce the
-    // emulator-driven grid bit for bit — IPC doubles, cycle counts
-    // and the full statistics report.
+    // Sweeps always replay a shared committed trace; that must be a
+    // pure host-side optimization. Every cell of a swept grid must
+    // reproduce an execution-driven Simulation (a live emulator
+    // stepped per instruction) bit for bit — IPC doubles, cycle
+    // counts and the full statistics report.
     const uint64_t BUDGET = 2000;
     std::vector<sim::Machine> machines = {
         sim::Machine::base(4),
@@ -184,39 +185,43 @@ TEST(SweepTraceCache, ReplayGridMatchesEmulatorGridByteForByte)
     };
     auto names = workloads::benchmarkNames();
 
-    std::vector<sim::SweepJob> traced, live;
+    std::vector<sim::SweepJob> traced;
     for (const auto &m : machines) {
         for (const auto &n : names) {
             sim::SweepJob j;
             j.workload = n;
             j.machine = m;
             j.max_insts = BUDGET;
-            j.trace_cache = true;
             traced.push_back(j);
-            j.trace_cache = false;
-            live.push_back(j);
         }
     }
 
     workloads::WorkloadCache cache;
     auto with = sim::SweepRunner(1, &cache).run(traced);
-    auto without = sim::SweepRunner(1, &cache).run(live);
-    ASSERT_EQ(with.size(), without.size());
+    ASSERT_EQ(with.size(), traced.size());
 
     for (size_t i = 0; i < with.size(); ++i) {
-        std::string what =
-            traced[i].machine.name + "|" + traced[i].workload;
+        const sim::SweepJob &job = traced[i];
+        std::string what = job.machine.name + "|" + job.workload;
         ASSERT_TRUE(with[i].outcome.ok()) << what;
-        ASSERT_TRUE(without[i].outcome.ok()) << what;
-        EXPECT_EQ(with[i].ipc, without[i].ipc) << what;
-        EXPECT_EQ(with[i].cycles, without[i].cycles) << what;
-        EXPECT_EQ(with[i].committed, without[i].committed) << what;
-        EXPECT_EQ(with[i].fastForwarded, without[i].fastForwarded)
+
+        const workloads::Workload &w = cache.get(job.workload);
+        auto it = w.program.symbols.find("steady");
+        uint64_t ff = it != w.program.symbols.end() ? it->second : 0;
+        sim::Simulation live(w.program, job.machine.cfg, BUDGET, ff);
+        live.run();
+        ASSERT_TRUE(live.hasEmulator()) << what;
+
+        EXPECT_EQ(with[i].ipc, live.ipc()) << what;
+        EXPECT_EQ(with[i].cycles, live.core().cycle()) << what;
+        EXPECT_EQ(with[i].committed,
+                  live.core().stats().committed.value())
             << what;
+        EXPECT_EQ(with[i].fastForwarded, live.fastForwarded()) << what;
 
         std::ostringstream a, b;
         with[i].sim->report(a);
-        without[i].sim->report(b);
+        live.report(b);
         EXPECT_EQ(a.str(), b.str()) << what;
     }
 }
@@ -236,7 +241,6 @@ TEST(SweepTraceCache, ConcurrentCellsShareOneTraceDeterministically)
         j.workload = "parser";
         j.machine = m;
         j.max_insts = BUDGET;
-        j.trace_cache = true;
         jobs.push_back(j);
     }
 

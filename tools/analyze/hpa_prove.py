@@ -31,11 +31,10 @@ Ground truth, in preference order:
 
 Roots: Core::tick (the per-cycle pipeline) and Core::tickGuards (the
 rare-but-every-cycle guard hooks). Because every scheduler/register-file policy
-and both scheduler engines are compiled into one Core (runtime
-variant switch + engine flag), a single static reachability pass
-covers every registered policy combination on both engines: any code
-any combination could run on the hot path is reachable from these
-roots.
+is compiled into one Core (runtime variant switch), a single static
+reachability pass covers every registered policy combination: any
+code any combination could run on the hot path is reachable from
+these roots.
 
 Properties (each reports named root->...->symbol violation paths):
 
@@ -1103,8 +1102,8 @@ def to_json(mode, build_dir, inputs, graph, results, roots_report,
         "roots": roots_report,
         "policy_keys": registry_policies(root_dir),
         "coverage_note":
-            "all registered sched/rf policies and both scheduler "
-            "engines are compiled into Core (runtime dispatch), so "
+            "all registered sched/rf policies are compiled into "
+            "Core (runtime dispatch), so "
             "static reachability from the roots covers every "
             "combination",
         "properties": [

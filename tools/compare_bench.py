@@ -2,10 +2,11 @@
 """Compare two throughput-benchmark JSON artifacts.
 
 Diffs a baseline and a candidate BENCH_sweep.json
-("hpa.bench-sweep.v2"/"v3"/"v4" — v3 only adds per-run policy names
-and v4 only drops the batching and retry fields, so all three are
+("hpa.bench-sweep.v2" through "v5" — v3 only adds per-run policy
+names, v4 only drops the batching and retry fields and v5 only drops
+the serial pass and the engine and replay switches, so all four are
 throughput-comparable) or micro_throughput --json artifact
-("hpa.micro-throughput.v1"/"v2"/"v3") and flags throughput
+("hpa.micro-throughput.v1" through "v4") and flags throughput
 regressions:
 
   tools/compare_bench.py docs/runs/BENCH_sweep_before.json BENCH_sweep.json
@@ -30,9 +31,11 @@ KNOWN_SCHEMAS = (
     "hpa.bench-sweep.v2",
     "hpa.bench-sweep.v3",
     "hpa.bench-sweep.v4",
+    "hpa.bench-sweep.v5",
     "hpa.micro-throughput.v1",
     "hpa.micro-throughput.v2",
     "hpa.micro-throughput.v3",
+    "hpa.micro-throughput.v4",
 )
 
 
@@ -49,6 +52,12 @@ def load(path):
             f"{', '.join(KNOWN_SCHEMAS)}"
         )
     return doc
+
+
+def family(doc):
+    """Schema family: bench-sweep v2 vs v5 is comparable (the versions
+    add or drop fields, the throughput metrics are unchanged)."""
+    return doc.get("schema", "").rsplit(".", 1)[0]
 
 
 def run_key(run):
@@ -117,9 +126,9 @@ def find_regressions(base, cand, threshold, out=sys.stdout):
 def self_test():
     import io
 
-    def doc(agg, runs):
+    def doc(agg, runs, schema="hpa.bench-sweep.v2"):
         return {
-            "schema": "hpa.bench-sweep.v2",
+            "schema": schema,
             "aggregate_cycles_per_sec": agg,
             "runs": [
                 {"machine": m, "workload": w, "cycles_per_sec": cps}
@@ -151,6 +160,31 @@ def self_test():
     # Disjoint run sets are reported, not compared.
     other = doc(1000.0, [("m2", "gzip", 1.0)])
     assert find_regressions(base, other, 10.0, sink) == []
+
+    # Every known tag loads, and a committed v3 baseline diffs
+    # against a v5 candidate (same family, same throughput fields).
+    import os
+    import tempfile
+
+    for tag in KNOWN_SCHEMAS:
+        with tempfile.NamedTemporaryFile(
+            "w", suffix=".json", delete=False
+        ) as f:
+            json.dump({"schema": tag, "runs": []}, f)
+        try:
+            assert load(f.name)["schema"] == tag
+        finally:
+            os.unlink(f.name)
+    v5 = doc(
+        1000.0,
+        [("m1", "gzip", 70.0), ("m1", "gcc", 200.0)],
+        "hpa.bench-sweep.v5",
+    )
+    v3 = doc(1000.0, [("m1", "gzip", 100.0)], "hpa.bench-sweep.v3")
+    assert family(v3) == family(v5) == "hpa.bench-sweep"
+    assert [k for k, _ in find_regressions(v3, v5, 10.0, sink)] == [
+        "m1|gzip"
+    ]
 
     # micro-throughput artifacts key on width|workload.
     assert run_key({"width": 4, "workload": "gzip"}) == "4-wide|gzip"
@@ -205,11 +239,6 @@ def main():
 
     base = load(args.baseline)
     cand = load(args.candidate)
-
-    # Schemas must be the same *family*; bench-sweep v2 vs v4 is fine
-    # (the versions add or drop fields, the metrics are unchanged).
-    def family(doc):
-        return doc.get("schema", "").rsplit(".", 1)[0]
 
     if family(base) != family(cand):
         sys.exit(

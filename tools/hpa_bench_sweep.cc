@@ -1,17 +1,15 @@
 /**
  * @file
  * Host-throughput benchmark of the full reproduction sweep: run
- * every (paper machine x benchmark) pair once serially and once on
- * the thread pool, verify the two produce identical IPC (the sweep
- * engine's determinism contract), and emit BENCH_sweep.json
- * ("hpa.bench-sweep.v4") with per-run status, IPC, wall time,
- * simulated-cycles/sec and the run's registry policy names
- * (sched_policy / rf_policy) plus the measured serial-to-parallel
- * speedup.
+ * every (paper machine x benchmark) pair once on the thread pool,
+ * each cell replaying its workload's shared committed trace, and
+ * emit BENCH_sweep.json ("hpa.bench-sweep.v5") with per-run status,
+ * IPC, wall time, simulated-cycles/sec and the run's registry policy
+ * names (sched_policy / rf_policy) plus the sweep's wall time.
+ * Results do not depend on the worker count (SweepDeterminism tests
+ * pin --jobs 8 against --jobs 1), so the sweep is measured once.
  *
  *   hpa_bench_sweep [--insts N] [--jobs N] [--out FILE]
- *                   [--trace-cache on|off]
- *                   [--sched-engine masked|reference]
  *                   [--zoo | --sched-policy P | --rf-policy P]
  *                   [--check GOLDEN] [--write-golden FILE]
  *                   [--inject KIND@INDEX]
@@ -29,11 +27,15 @@
  * regression gate run by tools/run_full_sweep.sh.
  *
  * Failed cells are fault-isolated: they appear in the JSON with
- * status/error_kind/error, are excluded from the determinism and
- * golden comparisons, and turn the exit status non-zero — the
+ * status/error_kind/error, are excluded from the golden comparison,
+ * and turn the exit status non-zero — the
  * artifact with every surviving cell is still written. --inject
  * (test only; KIND = poison | invariant | hang) plants a fault in
  * one job so these paths can be exercised end to end.
+ *
+ * Exit status: 0 success, 1 a failed cell, golden drift or a sweep
+ * that cannot be set up (e.g. a budget too large to capture), 2 a
+ * usage error (unknown option, malformed or signed number).
  */
 
 #include <algorithm>
@@ -68,15 +70,14 @@ runKey(const sim::SweepJob &job)
     return job.machine.name + "|" + job.workload;
 }
 
-/** Strict decimal parse; exits with a clear message on garbage. */
+/** Strict unsigned parse (tools::parseNumber: base 10, no sign);
+ *  exits 2 with a clear message on anything else. */
 uint64_t
-parseU64(const std::string &opt, const std::string &text)
+needNumber(const std::string &opt, const std::string &text)
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0') {
-        std::cerr << opt << " needs a non-negative integer, got '"
+    uint64_t v = 0;
+    if (!tools::parseNumber(text, v)) {
+        std::cerr << opt << " expects an unsigned integer, got '"
                   << text << "'\n";
         std::exit(2);
     }
@@ -123,18 +124,15 @@ wallSeconds(const std::function<void()> &fn)
         .count();
 }
 
-/** Everything the v4 artifact header needs besides the runs. */
+/** Everything the v5 artifact header needs besides the runs. */
 struct ArtifactMeta
 {
     uint64_t insts = 0;
-    bool trace_cache = true;
-    const char *sched_engine = "masked";
     unsigned hw = 1;
     unsigned requested_jobs = 0;
     bool jobs_clamped = false;
-    unsigned par_jobs = 1;
-    double t_serial = 0.0;
-    double t_parallel = 0.0;
+    unsigned jobs = 1;
+    double wall = 0.0;
 };
 
 bool
@@ -154,30 +152,18 @@ emitArtifact(const std::string &out,
             ++failed;
         total_cycles += r.cycles;
     }
-    double speedup =
-        m.t_parallel > 0 ? m.t_serial / m.t_parallel : 0.0;
-    double efficiency =
-        speedup / double(std::min<unsigned>(m.par_jobs, m.hw));
-
     stats::json::JsonWriter jw(os);
     jw.beginObject()
-        .kv("schema", "hpa.bench-sweep.v4")
+        .kv("schema", "hpa.bench-sweep.v5")
         .kv("insts_per_run", m.insts)
-        .kv("trace_cache", m.trace_cache)
-        .kv("sched_engine", m.sched_engine)
         .kv("hardware_threads", m.hw)
         .kv("requested_jobs", uint64_t(m.requested_jobs))
         .kv("jobs_clamped", m.jobs_clamped)
-        .kv("parallel_jobs", m.par_jobs)
-        .kv("serial_wall_seconds", m.t_serial, 3)
-        .kv("parallel_wall_seconds", m.t_parallel, 3)
-        .kv("speedup", speedup, 3)
-        .kv("scaling_efficiency", efficiency, 3)
+        .kv("jobs", m.jobs)
+        .kv("wall_seconds", m.wall, 3)
         .kv("total_simulated_cycles", total_cycles)
         .kv("aggregate_cycles_per_sec",
-            m.t_parallel > 0 ? double(total_cycles) / m.t_parallel
-                             : 0.0,
-            0)
+            m.wall > 0 ? double(total_cycles) / m.wall : 0.0, 0)
         .kv("ok_runs", uint64_t(results.size() - failed))
         .kv("failed_runs", uint64_t(failed));
     jw.key("runs").beginArray();
@@ -327,12 +313,12 @@ reportFailures(const std::vector<sim::SweepResult> &results,
     return failed;
 }
 
-/** Pre-build every workload (and, with the trace cache, its
- *  committed trace) touched by @p jobs so the timed passes pay no
- *  assembly or one-time emulation. */
+/** Pre-build every workload and its committed trace touched by
+ *  @p jobs so the timed pass pays no assembly or one-time
+ *  emulation. */
 void
 prebuildWorkloads(const std::vector<sim::SweepJob> &jobs,
-                  bool trace_cache, uint64_t insts)
+                  uint64_t insts)
 {
     std::vector<std::string> names;
     for (const auto &j : jobs)
@@ -341,14 +327,12 @@ prebuildWorkloads(const std::vector<sim::SweepJob> &jobs,
             names.push_back(j.workload);
     for (const auto &n : names) {
         const workloads::Workload &w = workloads::globalCache().get(n);
-        if (trace_cache) {
-            uint64_t ff = 0;
-            auto it = w.program.symbols.find("steady");
-            if (it != w.program.symbols.end())
-                ff = it->second;
-            workloads::globalCache().trace(
-                n, workloads::Scale::Full, insts, ff);
-        }
+        uint64_t ff = 0;
+        auto it = w.program.symbols.find("steady");
+        if (it != w.program.symbols.end())
+            ff = it->second;
+        workloads::globalCache().trace(n, workloads::Scale::Full,
+                                       insts, ff);
     }
 }
 
@@ -359,8 +343,6 @@ main(int argc, char **argv)
 {
     uint64_t insts = 50000;
     unsigned jobs = 0;
-    bool trace_cache = true;
-    core::SchedEngine engine = core::SchedEngine::Masked;
     std::string out = "BENCH_sweep.json";
     std::string check;
     std::string write_golden;
@@ -379,26 +361,12 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--insts")
-            insts = parseU64(a, need(i));
+            insts = needNumber(a, need(i));
         else if (a == "--jobs") {
             std::string err =
                 tools::parseUnsignedOption(a, need(i), jobs);
             if (!err.empty()) {
                 std::cerr << err << "\n";
-                return 2;
-            }
-        } else if (a == "--trace-cache") {
-            std::string v = need(i);
-            if (v != "on" && v != "off") {
-                std::cerr << "--trace-cache expects on | off\n";
-                return 2;
-            }
-            trace_cache = (v == "on");
-        } else if (a == "--sched-engine") {
-            std::string v = need(i);
-            if (!core::parseSchedEngine(v, engine)) {
-                std::cerr << "--sched-engine expects masked | "
-                             "reference\n";
                 return 2;
             }
         } else if (a == "--out")
@@ -434,13 +402,11 @@ main(int argc, char **argv)
                 return 2;
             }
             injections.emplace_back(
-                f, parseU64(a, v.substr(at + 1)));
+                f, needNumber(a, v.substr(at + 1)));
         } else {
             std::cerr << "unknown option: " << a << "\n"
                       << "usage: hpa_bench_sweep [--insts N] "
                          "[--jobs N] "
-                         "[--trace-cache on|off] "
-                         "[--sched-engine masked|reference] "
                          "[--zoo | --sched-policy P | "
                          "--rf-policy P] "
                          "[--out FILE] [--check GOLDEN] "
@@ -477,11 +443,6 @@ main(int argc, char **argv)
         machines = zoo ? sim::policyZooMachines()
                        : sim::reproductionMachines();
     }
-    // The engine knob is a result-invariant simulator implementation
-    // choice: apply it to every machine in the grid (names are
-    // unchanged, so goldens stay comparable).
-    for (auto &m : machines)
-        m.cfg.sched_engine = engine;
     auto names = workloads::benchmarkNames();
     std::vector<sim::SweepJob> sweep;
     for (const auto &m : machines) {
@@ -490,7 +451,6 @@ main(int argc, char **argv)
             j.workload = n;
             j.machine = m;
             j.max_insts = insts;
-            j.trace_cache = trace_cache;
             j.validate();
             sweep.push_back(j);
         }
@@ -509,106 +469,60 @@ main(int argc, char **argv)
 
     unsigned hw = sim::SweepRunner::resolveJobs(0);
     unsigned requested_jobs = jobs;
-    unsigned par_jobs = sim::SweepRunner::resolveJobs(jobs);
+    unsigned run_jobs = sim::SweepRunner::resolveJobs(jobs);
     bool jobs_clamped = false;
-    if (par_jobs > hw) {
+    if (run_jobs > hw) {
         // Oversubscribing a throughput benchmark only adds context
         // switches; the runs would still be deterministic, but the
         // timing numbers would not mean what the artifact claims.
         std::fprintf(stderr,
                      "warning: --jobs %u exceeds the %u hardware "
-                     "thread(s); clamping the parallel pass to %u\n",
+                     "thread(s); clamping to %u\n",
                      requested_jobs, hw, hw);
-        par_jobs = hw;
+        run_jobs = hw;
         jobs_clamped = true;
     }
     std::printf("%zu runs (%zu machines x %zu benchmarks), "
-                "%llu insts per run, %u hardware thread(s), "
-                "trace cache %s\n",
+                "%llu insts per run, %u hardware thread(s)\n",
                 sweep.size(), machines.size(), names.size(),
-                static_cast<unsigned long long>(insts), hw,
-                trace_cache ? "on" : "off");
+                static_cast<unsigned long long>(insts), hw);
+
+    // Pre-build every workload and pre-capture each committed trace
+    // so assembly and the one-time emulation stay out of the timed
+    // pass. A budget the trace buffer cannot hold fails here, before
+    // any cell runs, so report it and stop.
+    try {
+        prebuildWorkloads(sweep, insts);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr,
+                     "cannot prepare the sweep at %llu insts per "
+                     "run: %s\n",
+                     static_cast<unsigned long long>(insts), e.what());
+        return 1;
+    }
+
+    std::printf("sweep (%u workers)...\n", run_jobs);
+    sim::SweepRunner runner(run_jobs);
+    std::vector<sim::SweepResult> results;
+    double wall = wallSeconds([&] { results = runner.run(sweep); });
+    std::printf("sweep %.2f s at %u workers\n", wall, run_jobs);
 
     ArtifactMeta meta;
     meta.insts = insts;
-    meta.trace_cache = trace_cache;
-    meta.sched_engine = core::schedEngineName(engine);
     meta.hw = hw;
     meta.requested_jobs = requested_jobs;
     meta.jobs_clamped = jobs_clamped;
-    meta.par_jobs = par_jobs;
+    meta.jobs = run_jobs;
+    meta.wall = wall;
 
-    // Pre-build every workload so neither timed pass pays assembly;
-    // with the trace cache on, also pre-capture each committed trace
-    // so the one-time emulation cost stays out of both timed passes.
-    prebuildWorkloads(sweep, trace_cache, insts);
-
-    std::printf("serial pass (1 worker)...\n");
-    sim::SweepRunner serial_runner(1);
-    std::vector<sim::SweepResult> serial;
-    double t_serial =
-        wallSeconds([&] { serial = serial_runner.run(sweep); });
-
-    std::printf("parallel pass (%u workers)...\n", par_jobs);
-    sim::SweepRunner parallel_runner(par_jobs);
-    std::vector<sim::SweepResult> parallel;
-    double t_parallel =
-        wallSeconds([&] { parallel = parallel_runner.run(sweep); });
-
-    // Determinism contract: parallel results bit-identical to serial
-    // — including which cells failed and why (error kinds are
-    // deterministic; only the wall-clock fields may differ).
-    size_t mismatches = 0;
-    for (size_t i = 0; i < sweep.size(); ++i) {
-        if (serial[i].outcome.status != parallel[i].outcome.status
-            || serial[i].outcome.errorKind
-                   != parallel[i].outcome.errorKind) {
-            std::fprintf(stderr,
-                         "DETERMINISM MISMATCH %s: serial status %s "
-                         "parallel status %s\n",
-                         runKey(sweep[i]).c_str(),
-                         sim::statusName(serial[i].outcome.status),
-                         sim::statusName(parallel[i].outcome.status));
-            ++mismatches;
-            continue;
-        }
-        if (!serial[i].outcome.ok())
-            continue;
-        if (serial[i].ipc != parallel[i].ipc
-            || serial[i].cycles != parallel[i].cycles
-            || serial[i].committed != parallel[i].committed) {
-            std::fprintf(stderr,
-                         "DETERMINISM MISMATCH %s: serial IPC %.9f "
-                         "parallel IPC %.9f\n",
-                         runKey(sweep[i]).c_str(), serial[i].ipc,
-                         parallel[i].ipc);
-            ++mismatches;
-        }
-    }
-    if (mismatches) {
-        std::fprintf(stderr, "%zu mismatching runs\n", mismatches);
-        return 1;
-    }
-
-    meta.t_serial = t_serial;
-    meta.t_parallel = t_parallel;
-
-    double speedup = t_parallel > 0 ? t_serial / t_parallel : 0.0;
-    double efficiency =
-        speedup / double(std::min<unsigned>(par_jobs, hw));
-    std::printf("serial %.2f s, parallel %.2f s at %u workers: "
-                "speedup %.2fx (%.0f%% of linear up to %u cores)\n",
-                t_serial, t_parallel, par_jobs, speedup,
-                100.0 * efficiency, std::min(par_jobs, hw));
-
-    if (!emitArtifact(out, parallel, meta))
+    if (!emitArtifact(out, results, meta))
         return 1;
     if (!write_golden.empty()
-        && !writeGoldenFile(write_golden, parallel, insts))
+        && !writeGoldenFile(write_golden, results, insts))
         return 1;
-    if (!check.empty() && goldenCheck(check, parallel, insts) != 0)
+    if (!check.empty() && goldenCheck(check, results, insts) != 0)
         return 1;
-    if (reportFailures(parallel, out) > 0)
+    if (reportFailures(results, out) > 0)
         return 1;
     return 0;
 }

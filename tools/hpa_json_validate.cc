@@ -67,6 +67,13 @@ requiredFields()
             {"hpa.bench-sweep.v4",
              {"insts_per_run", "ok_runs", "failed_runs", "runs",
               "status", "valid", "sched_policy", "rf_policy"}},
+            // v5 measures the sweep once: parallel_jobs/
+            // parallel_wall_seconds become jobs/wall_seconds, and the
+            // serial pass, speedup and the engine and replay switches go.
+            {"hpa.bench-sweep.v5",
+             {"insts_per_run", "jobs", "wall_seconds", "ok_runs",
+              "failed_runs", "runs", "status", "valid",
+              "sched_policy", "rf_policy"}},
             {"hpa.sweep-golden.v1", {"insts_per_run"}},
             {"hpa.micro-throughput.v1",
              {"insts_per_run", "total_simulated_cycles",
@@ -77,6 +84,11 @@ requiredFields()
               "runs"}},
             // v3 drops batch and batches_formed.
             {"hpa.micro-throughput.v3",
+             {"insts_per_run", "total_simulated_cycles",
+              "aggregate_cycles_per_sec", "lane_cycles_per_sec",
+              "runs"}},
+            // v4 drops the per-run engine field.
+            {"hpa.micro-throughput.v4",
              {"insts_per_run", "total_simulated_cycles",
               "aggregate_cycles_per_sec", "lane_cycles_per_sec",
               "runs"}},

@@ -46,10 +46,9 @@ workload (choose one):
   --sweep             run the full reproduction sweep (every
                       benchmark x every paper machine) on a thread
                       pool and print an IPC matrix
-  --jobs N            sweep worker threads (0 = hardware threads)
-  --trace-cache V     on (default) | off: sweep cells replay one
-                      shared committed trace per workload instead of
-                      re-emulating per cell; IPC is bit-identical
+  --jobs N            sweep worker threads (0 = hardware threads);
+                      sweep cells replay one shared committed trace
+                      per workload
 
 machine:
   --width N           4 (default) or 8: Table 1 base machines
@@ -82,10 +81,6 @@ robustness:
   --check-interval N  cross-validate the scheduler's incremental
                       bookkeeping against the window every N cycles
                       (default 0 = off)
-  --sched-engine E    masked (default) | reference: scheduler
-                      data-structure engine; results are
-                      bit-identical, reference keeps the per-entry
-                      chains as a cross-check
 
 structured output (FILE may be '-' for stdout; writing any document
 to stdout suppresses the human-readable summary):
@@ -123,7 +118,6 @@ runSweepMode(const tools::SimOptions &opt)
             j.machine = m;
             j.max_insts = insts;
             j.max_cycles = opt.cycles;
-            j.trace_cache = opt.trace_cache;
             sweep.push_back(j);
         }
     }

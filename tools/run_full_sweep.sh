@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
 # Build the simulator, run the full reproduction sweep (every paper
-# machine x every benchmark) once serially and once on the thread
-# pool, and check the resulting IPC matrix against the checked-in
-# golden ("hpa.sweep-golden.v1"; any drift is reported per cell as
-# machine, workload, expected and got). Writes BENCH_sweep.json
-# ("hpa.bench-sweep.v4": per-run status/IPC, wall time, simulated-
-# cycles/sec, and the measured serial-to-parallel speedup) in the
-# repo root — the canonical committed artifact — then validates both
-# documents with hpa_json_validate and diffs the regenerated sweep
-# against the committed baseline with compare_bench.py
-# --max-regress 10 (a hard gate at the default budget).
+# machine x every benchmark) once on the thread pool, and check the
+# resulting IPC matrix against the checked-in golden
+# ("hpa.sweep-golden.v1"; any drift is reported per cell as machine,
+# workload, expected and got). Writes BENCH_sweep.json
+# ("hpa.bench-sweep.v5": per-run status/IPC, wall time, simulated-
+# cycles/sec and the sweep's wall time) in the repo root — the
+# canonical committed artifact — then validates both documents with
+# hpa_json_validate and diffs the regenerated sweep against the
+# committed baseline with compare_bench.py --max-regress 10 (a hard
+# gate at the default budget).
 #
 # Usage: tools/run_full_sweep.sh
 #   HPA_INSTS  committed-instruction budget per run (default 50000 —
 #              the budget the golden was recorded at; other values
 #              skip the golden comparison and the perf gate)
-#   HPA_JOBS   worker threads for the parallel pass (default: one
-#              per hardware thread)
+#   HPA_JOBS   sweep worker threads (default: one per hardware
+#              thread)
 #
 # To refresh the golden after an intentional model change:
 #   ./build/tools/hpa_bench_sweep --insts 50000 \
@@ -52,7 +52,7 @@ fi
     --out BENCH_sweep.json "${CHECK[@]}"
 
 ./build/tools/hpa_json_validate --schema hpa.sweep-golden.v1 "$GOLDEN"
-./build/tools/hpa_json_validate --schema hpa.bench-sweep.v4 \
+./build/tools/hpa_json_validate --schema hpa.bench-sweep.v5 \
     BENCH_sweep.json
 
 if [ "$HAVE_BASELINE" = 1 ] && [ "$INSTS" = 50000 ]; then
