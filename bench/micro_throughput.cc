@@ -10,12 +10,13 @@
  * and functional fast-forward are excluded. Runs serially (one
  * worker) so per-run wall times are undistorted.
  *
- * `--policy sched=X,rf=Y` pins the scheduler and register-file
- * policies by registry key; either value may be `all`, which expands
- * that axis to every registered policy, so `--policy sched=all,rf=all`
- * sweeps the full policy zoo — the `perf` ctest label runs exactly
- * that, so every zoo policy's hot path is timed, not just the paper
- * four. With a single combo the output
+ * `--sched-policy X` / `--rf-policy Y` pin the scheduler and
+ * register-file policies by registry key; either value may be `all`,
+ * which expands that axis to every registered policy, so
+ * `--sched-policy all --rf-policy all` sweeps the full policy zoo —
+ * the `perf` ctest label runs exactly that, so every zoo policy's
+ * hot path is timed, not just the paper four. With a single combo
+ * the output
  * is the detailed per-workload table; a multi-combo sweep prints one
  * summary row per combo.
  *
@@ -59,7 +60,7 @@ struct Combo
     }
 };
 
-/** Expand one `--policy` axis value: "" = default, "all" = every
+/** Expand one policy axis value: "" = default, "all" = every
  *  registered key, anything else = that single key (validated later
  *  by MachineBuilder, which throws listing the registry). */
 template <typename Table>
@@ -84,7 +85,6 @@ main(int argc, char **argv)
     std::string json_out;
     std::string sched_policy;
     std::string rf_policy;
-    bool bad_cli = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--json" && i + 1 < argc) {
@@ -93,49 +93,10 @@ main(int argc, char **argv)
             sched_policy = argv[++i];
         } else if (a == "--rf-policy" && i + 1 < argc) {
             rf_policy = argv[++i];
-        } else if (a == "--policy" && i + 1 < argc) {
-            // k=v pairs, comma-separated: sched=X,rf=Y. Either value
-            // may be "all" (expand to the full registry).
-            std::string spec = argv[++i];
-            size_t pos = 0;
-            while (pos <= spec.size() && !bad_cli) {
-                size_t comma = spec.find(',', pos);
-                std::string kv = spec.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                size_t eq = kv.find('=');
-                std::string k = kv.substr(0, eq);
-                std::string v =
-                    eq == std::string::npos ? "" : kv.substr(eq + 1);
-                if (eq == std::string::npos || v.empty()) {
-                    std::fprintf(stderr,
-                                 "--policy: malformed pair '%s' "
-                                 "(want sched=X,rf=Y)\n",
-                                 kv.c_str());
-                    bad_cli = true;
-                } else if (k == "sched") {
-                    sched_policy = v;
-                } else if (k == "rf") {
-                    rf_policy = v;
-                } else {
-                    std::fprintf(stderr,
-                                 "--policy: unknown axis '%s' "
-                                 "(want sched or rf)\n",
-                                 k.c_str());
-                    bad_cli = true;
-                }
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
         } else {
-            bad_cli = true;
-        }
-        if (bad_cli) {
             std::fprintf(
                 stderr,
                 "usage: micro_throughput "
-                "[--policy sched=X,rf=Y] "
                 "[--sched-policy P] [--rf-policy P] "
                 "[--json FILE]\n"
                 "  scheduler policies (or 'all'): %s\n"

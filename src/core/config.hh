@@ -2,7 +2,10 @@
  * @file
  * Configuration of the out-of-order core: machine width, window
  * sizes, functional units (Table 1), and the half-price scheme
- * selections evaluated in the paper.
+ * selections evaluated in the paper. Every organization axis
+ * (wakeup, register file, recovery, rename) is a plain enum that
+ * the core reads where the choice acts; policy_registry.hh maps
+ * the wakeup and register-file enums to their CLI/builder names.
  */
 
 #ifndef HPA_CORE_CONFIG_HH
@@ -40,7 +43,7 @@ enum class WakeupModel
     /**
      * Load-delay-tracking wakeup (Diavastos & Carlson): broadcast is
      * replaced by per-producer real-time delay counters of bounded
-     * width (`dlt_max_delay`). A producer whose remaining latency
+     * width (`DLT_MAX_DELAY`). A producer whose remaining latency
      * fits the counter wakes its consumers exactly as a broadcast
      * would; one that saturates the counter falls back to the
      * completion scoreboard, so its consumers wake only when the
@@ -48,6 +51,14 @@ enum class WakeupModel
      */
     LoadDelayTracking,
 };
+
+/**
+ * Load-delay-tracking: widest producer delay (cycles) the per-entry
+ * counters can represent (15 = 4-bit counters). A producer whose
+ * remaining latency exceeds it saturates the counter and its
+ * consumers wake at the completion broadcast instead.
+ */
+constexpr unsigned DLT_MAX_DELAY = 15;
 
 /** Register-file read-port organization (Section 4). */
 enum class RegfileModel
@@ -136,15 +147,6 @@ struct CoreConfig
 
     /** Last-arriving operand predictor entries (Sections 3.2, 5.1). */
     unsigned lap_entries = 1024;
-
-    /**
-     * Load-delay-tracking: widest producer delay (cycles) the
-     * per-entry counters can represent. A producer whose remaining
-     * latency exceeds this saturates the counter and its consumers
-     * wake from the completion scoreboard instead (15 = 4-bit
-     * counters). Only read by WakeupModel::LoadDelayTracking.
-     */
-    unsigned dlt_max_delay = 15;
 
     /**
      * Cycles a produced value stays on the bypass network (Section

@@ -77,8 +77,7 @@ CoreStats::regStats(stats::Registry &reg)
 
 Core::Core(const CoreConfig &cfg, InstSource &source)
     : cfg_(cfg), source_(source), hier_(cfg.mem), bp_(cfg.bpred),
-      fu_(cfg), lap_(cfg.lap_entries), sched_(makeSchedPolicy(cfg)),
-      rf_(makeRFPolicy(cfg)), window_(cfg.ruu_size)
+      fu_(cfg), lap_(cfg.lap_entries), window_(cfg.ruu_size)
 {
     // Every hot-path container is sized to its configuration bound
     // here so steady-state simulation allocates nothing: the bit
@@ -90,9 +89,15 @@ Core::Core(const CoreConfig &cfg, InstSource &source)
     storeSlots_.reset(cfg.ruu_size);
     fetchQueue_.reset(size_t(cfg.front_end_depth) * cfg.width);
     masks_.reset(cfg.ruu_size);
-    slowBus_ = schedSlowBus();
-    readyAllSrc_ = core::visitPolicy(
-        [](const auto &p) { return p.mask_ready_all_src; }, sched_);
+    slowBus_ = cfg.sequentialWakeup();
+    tagElim_ = cfg.wakeup == WakeupModel::TagElimination;
+    delayTracking_ = cfg.wakeup == WakeupModel::LoadDelayTracking;
+    seqRegAccess_ = cfg.regfile == RegfileModel::SequentialAccess;
+    if (cfg.regfile == RegfileModel::HalfPortCrossbar
+        || cfg.regfile == RegfileModel::PrefetchBuffer)
+        portBudget_ = cfg.width;
+    if (cfg.regfile == RegfileModel::PrefetchBuffer)
+        prefetchBandwidth_ = cfg.width / 2 ? cfg.width / 2 : 1;
     squashCandidates_.reserve(cfg.ruu_size);
     squashList_.reserve(cfg.ruu_size);
     squashTainted_.reserve(size_t(cfg.ruu_size) + 1);
@@ -113,17 +118,25 @@ Core::Core(const CoreConfig &cfg, InstSource &source)
 // Scheduler side sets
 // --------------------------------------------------------------------
 
+bool
+Core::schedReady(const DynInst &di)
+{
+    for (unsigned i = 0; i < di.numSrc; ++i)
+        if (di.src[i].watched && !di.src[i].ready)
+            return false;
+    // After a detected mis-issue the tag-elimination scoreboard holds
+    // the entry until every value is truly available.
+    return !di.requireDataReady || di.allSrcDataReady();
+}
+
 /** Reconcile one slot's ready-plane membership with its state. Call
- *  after any transition that can change schedReady()/issued. For
- *  mask_ready_all_src policies the model predicate folds to
- *  allSrcReady() without a policy dispatch; tag elimination keeps
- *  its per-entry rule. */
+ *  after any transition that can change schedReady()/issued. */
 void
 Core::updateReadySlot(unsigned slot)
 {
     DynInst &di = window_[slot];
     bool want = di.inWindow && !di.issued && !di.completed
-        && (readyAllSrc_ ? di.allSrcReady() : schedReady(di));
+        && schedReady(di);
     if (want == di.inReadyList)
         return;
     if (want)
@@ -569,9 +582,17 @@ Core::noteSecondWake(DynInst &ci, uint64_t now)
                     right_last);
 
     // Sequential wakeup: the tag of the last-arriving operand is
-    // visible one cycle late when it landed on the slow side.
-    if (schedLastOnSlowBus(ci, simultaneous))
-        ++stats_.seqWakeupDelayed;
+    // visible one cycle late when it landed on the slow side; a
+    // simultaneous wakeup always pays the slow-bus cycle (one side is
+    // always slow). slowSide is only ever set under sequential wakeup.
+    for (unsigned i = 0; i < ci.numSrc; ++i) {
+        const OperandState &op = ci.src[i];
+        if (op.slowSide
+            && (simultaneous || op.leftField != ci.firstWakeWasLeft)) {
+            ++stats_.seqWakeupDelayed;
+            break;
+        }
+    }
 }
 
 /** @return true when any operand state changed — the caller only
@@ -615,8 +636,9 @@ Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
         }
     }
 
-    // Tag visibility depends on the wakeup-logic organization.
-    if (schedSeesTag(op) && !op.ready) {
+    // Tag visibility on the fast bus: a slow-side operand waits for
+    // the re-broadcast, an unwatched one has no comparator.
+    if (!op.slowSide && op.watched && !op.ready) {
         op.ready = true;
         op.wakeCycle = now;
         op.wakeProducerSeq = producer_seq;
@@ -649,9 +671,10 @@ Core::handleFastWake(const Event &ev)
                 if (wakeOperand(ci, op, cycle_, ev.seq, false))
                     updateReadySlot(s);
                 // File the slow-plane residue: consumers whose tag
-                // match arrives only on the +1 re-broadcast.
-                if (slowBus_ && !op.ready && op.dataReady
-                    && schedMaskSlowPlane(op)) {
+                // match arrives only on the +1 re-broadcast (under
+                // sequential wakeup a fast-woken operand still
+                // lacking its tag is a slow-side one).
+                if (slowBus_ && !op.ready && op.dataReady) {
                     masks_.slowPend.set(p, s);
                     need_slow = true;
                 }
@@ -844,7 +867,7 @@ Core::handleLoadMiss(const Event &ev)
     uint64_t true_wake = load.issueCycle + 1 + load.memLatency;
     uint64_t load_complete =
         load.issueCycle + cfg_.schedToExec() + load.latency - 1;
-    true_wake = schedAdjustWake(cycle_, true_wake, load_complete);
+    true_wake = trackedWake(true_wake, load_complete);
     load.wakeBroadcastCycle = true_wake;
     isa::RegIndex dest = load.rec->inst.destReg();
     if (dest != isa::NO_REG && !isa::isZeroReg(dest)
@@ -952,7 +975,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
 
     di.rfPorts = ports;
 
-    di.seqRegAccess = rfSeqAccess(ports);
+    di.seqRegAccess = seqRegAccess_ && ports == 2;
     if (di.seqRegAccess) {
         ++stats_.seqRegAccesses;
         ++blockedSlotsNext_;
@@ -1022,10 +1045,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
     }
 
     if (broadcasts) {
-        // A delay-tracking policy defers the wake to the completion
-        // scoreboard when the latency saturates its counters.
-        wake_cycle = schedAdjustWake(cycle_, wake_cycle,
-                                     complete_cycle);
+        wake_cycle = trackedWake(wake_cycle, complete_cycle);
         di.wakeBroadcastCycle = wake_cycle;
         scheduleEvent(wake_cycle,
                       Event{di.seq, di.issueToken, int16_t(slot),
@@ -1039,7 +1059,7 @@ Core::issueInst(DynInst &di, int slot, unsigned ports)
 
     // Tag elimination: the scoreboard detects issues whose unwatched
     // operands were not actually data-ready.
-    if (schedWatchesPremature()) {
+    if (tagElim_) {
         bool premature = false;
         for (unsigned i = 0; i < di.numSrc; ++i) {
             const OperandState &op = di.src[i];
@@ -1099,7 +1119,7 @@ Core::select()
         ? cfg_.width - blockedSlots_ : 0;
     if (avail == 0)
         return;
-    unsigned ports_left = rfPortBudget();
+    unsigned ports_left = portBudget_;
     const bool arbitrated = ports_left != ~0u;
 
     // Oldest-first, loads and branches prioritized (Section 2.1).
@@ -1213,6 +1233,73 @@ Core::setupOperands(DynInst &di, int slot)
 }
 
 void
+Core::placeOperands(DynInst &di) const
+{
+    switch (cfg_.wakeup) {
+      case WakeupModel::Sequential:
+      case WakeupModel::SequentialNoPred: {
+        // Wire the side predicted to arrive last to the fast bus
+        // (statically the right-hand one without a predictor); a
+        // single pending operand sits on the fast side.
+        if (!di.twoPending)
+            break;
+        bool right_fast = cfg_.wakeup == WakeupModel::SequentialNoPred
+            || di.predRightLast;
+        for (unsigned i = 0; i < di.numSrc; ++i)
+            di.src[i].slowSide = di.src[i].leftField == right_fast;
+        break;
+      }
+      case WakeupModel::TagElimination:
+        // Only the predicted-last operand (or the one pending
+        // operand) keeps a comparator on the bus.
+        for (unsigned i = 0; i < di.numSrc; ++i) {
+            OperandState &op = di.src[i];
+            op.watched = di.twoPending
+                ? op.leftField != di.predRightLast : !op.readyAtInsert;
+        }
+        break;
+      case WakeupModel::Conventional:
+      case WakeupModel::LoadDelayTracking:
+        break; // every operand watches the one fast bus
+    }
+}
+
+void
+Core::prefetchOperands(DynInst &di, unsigned &left)
+{
+    if (prefetchBandwidth_ == 0)
+        return;
+    // Only producer-less operands are eligible: a prefetched value can
+    // never be invalidated by replay repair, so the buffer stays
+    // trivially coherent.
+    for (unsigned i = 0; i < di.numSrc; ++i) {
+        OperandState &op = di.src[i];
+        if (!op.readyAtInsert || op.wakeProducerSeq != NO_SEQ)
+            continue;
+        if (left > 0) {
+            --left;
+            op.prefetched = true;
+            ++stats_.prefetchHits;
+        } else {
+            ++stats_.prefetchMisses;
+        }
+    }
+}
+
+uint64_t
+Core::trackedWake(uint64_t wake, uint64_t complete)
+{
+    if (!delayTracking_ || wake - cycle_ <= DLT_MAX_DELAY)
+        return wake;
+    ++stats_.dltSaturated;
+    // The completion broadcast cycle, not a cycle later: commit
+    // follows completion by at least one cycle, so this is the latest
+    // wake the producer is guaranteed to still be in the window to
+    // deliver.
+    return complete;
+}
+
+void
 Core::dispatch()
 {
     unsigned budget = cfg_.width;
@@ -1220,6 +1307,7 @@ Core::dispatch()
     // machine, one per slot in the half-price rename extension.
     unsigned rename_ports = cfg_.rename == RenameModel::HalfPort
         ? cfg_.width : 2 * cfg_.width;
+    unsigned prefetch_left = prefetchBandwidth_;
     while (budget > 0 && !fetchQueue_.empty() && !windowFull()) {
         FetchedInst &fi = fetchQueue_.front();
         if (fi.earliestDispatch > cycle_)
@@ -1265,8 +1353,8 @@ Core::dispatch()
             masks_.highPrio.clear(slot);
 
         setupOperands(di, int(slot));
-        schedPlace(di);
-        rfOnDispatch(di);
+        placeOperands(di);
+        prefetchOperands(di, prefetch_left);
         updateReadySlot(slot);
         if (di.isStore())
             storeSlots_.push_back(slot);

@@ -6,12 +6,13 @@
  * sequential wakeup (Section 3.3), sequential register access
  * (Section 4.3), tag elimination (Section 3.1 reference scheme), the
  * extra-RF-stage and half-ports+crossbar register files (Section 5.2),
- * and selective recovery (Figure 5). The wakeup and register-read
- * organizations are pluggable strategy structs (sched_policy.hh /
- * rf_policy.hh, variant-dispatched — see DESIGN.md "Policy API"); two
- * follow-on designs, load-delay-tracking wakeup and an
- * operand-prefetch-buffer register file, plug in through the same
- * surface.
+ * and selective recovery (Figure 5). Two follow-on designs,
+ * load-delay-tracking wakeup and an operand-prefetch-buffer register
+ * file, sit beside them. Like recovery and rename, the wakeup and
+ * register-file organizations are CoreConfig enums: the constructor
+ * reads them once into plain members, and dispatch writes the wakeup
+ * scheme into each operand's slowSide/watched bits, which are all
+ * later stages consult (see DESIGN.md "Policy API").
  *
  * Timing conventions (cycle numbers are select-eligibility times):
  *  - Wakeup and select are atomic: an instruction woken at cycle t can
@@ -45,8 +46,6 @@
 #include "core/inst_source.hh"
 #include "core/issue_window.hh"
 #include "core/last_arrival.hh"
-#include "core/rf_policy.hh"
-#include "core/sched_policy.hh"
 #include "mem/hierarchy.hh"
 #include "sim/error.hh"
 #include "stats/stats.hh"
@@ -359,118 +358,26 @@ class Core
                      uint64_t producer_seq, bool slow_bus);
     void noteSecondWake(DynInst &ci, uint64_t now);
 
-    // --- Policy dispatch (hot path: visitPolicy switches on the
-    //     variant index — no virtual calls, every policy hook body
-    //     header-inlined from {sched,rf}_policy.hh). ---
+    /** Model readiness predicate: no watched operand lacks its tag
+     *  match, and after a tag-elimination mis-issue every value is
+     *  truly available. Excludes per-cycle issue conditions
+     *  (dispatch delay, FUs, LSQ, ports) checked at select. Pure
+     *  function of the DynInst, so the periodic cross-validation
+     *  pass can re-derive it from the window. Every wakeup scheme
+     *  but tag elimination watches all operands and never sets
+     *  requireDataReady, so there it is allSrcReady(). */
+    static bool schedReady(const DynInst &di);
+    /** Write the wakeup scheme into the operands' slowSide/watched
+     *  bits at dispatch. */
+    void placeOperands(DynInst &di) const;
+    /** Operand prefetch buffer: claim per-cycle prefetch bandwidth
+     *  (@p left ports remain this cycle) for the operands already in
+     *  the architectural register file at dispatch. */
+    void prefetchOperands(DynInst &di, unsigned &left);
+    /** Load-delay tracking: a @p wake broadcast the delay counters
+     *  cannot represent is deferred to the @p complete broadcast. */
+    uint64_t trackedWake(uint64_t wake, uint64_t complete);
 
-    /** Model readiness predicate: every tag match the wakeup scheme
-     *  requires for issue has been observed. Excludes per-cycle
-     *  issue conditions (dispatch delay, FUs, LSQ, ports) checked
-     *  at select. Pure function of the DynInst, so the periodic
-     *  cross-validation pass can re-derive it from the window. */
-    bool
-    schedReady(const DynInst &di) const
-    {
-        return core::visitPolicy([&](const auto &p) { return p.ready(di); },
-                          sched_);
-    }
-
-    /** Does this operand observe a tag on the fast wakeup bus? */
-    bool
-    schedSeesTag(const OperandState &op) const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) { return p.seesTag(op); }, sched_);
-    }
-
-    /** Does every fast broadcast re-run on the slow bus +1 cycle? */
-    bool
-    schedSlowBus() const
-    {
-        return core::visitPolicy([](const auto &p) { return p.slow_bus; },
-                          sched_);
-    }
-
-    /** Does a scoreboard audit issues for premature operands? */
-    bool
-    schedWatchesPremature() const
-    {
-        return core::visitPolicy(
-            [](const auto &p) { return p.watches_premature; },
-            sched_);
-    }
-
-    /** Operand placement at dispatch (slow-side/watched bits). */
-    void
-    schedPlace(DynInst &di)
-    {
-        core::visitPolicy([&](const auto &p) { p.place(di); }, sched_);
-    }
-
-    /** Mask-level entry point: does this operand's tag match ride
-     *  the slow-bus re-broadcast (slowPend plane membership)? */
-    bool
-    schedMaskSlowPlane(const OperandState &op) const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) { return p.maskSlowPlane(op); },
-            sched_);
-    }
-
-    /** Accounting: did the last-arriving tag land on the slow bus? */
-    bool
-    schedLastOnSlowBus(const DynInst &ci, bool simultaneous) const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) {
-                return p.lastOnSlowBus(ci, simultaneous);
-            },
-            sched_);
-    }
-
-    /** Producer wake-broadcast timing override (delay-counter
-     *  saturation defers the wake to the completion scoreboard). */
-    uint64_t
-    schedAdjustWake(uint64_t now, uint64_t wake, uint64_t complete)
-    {
-        return core::visitPolicy(
-            [&](const auto &p) {
-                return p.adjustWake(now, wake, complete,
-                                    stats_.dltSaturated);
-            },
-            sched_);
-    }
-
-    /** Must this issue take the sequential register-access penalty? */
-    bool
-    rfSeqAccess(unsigned ports) const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) { return p.seqAccess(ports); }, rf_);
-    }
-
-    /** Issue-time read ports arbitrated across the select group
-     *  (~0u = unconstrained). */
-    unsigned
-    rfPortBudget() const
-    {
-        return core::visitPolicy(
-            [&](const auto &p) { return p.portBudget(cfg_.width); },
-            rf_);
-    }
-
-    /** Dispatch-time hook: the operand prefetch buffer claims its
-     *  per-cycle port bandwidth. */
-    void
-    rfOnDispatch(DynInst &di)
-    {
-        core::visitPolicy(
-            [&](auto &p) {
-                p.onDispatch(di, cycle_, stats_.prefetchHits,
-                             stats_.prefetchMisses);
-            },
-            rf_);
-    }
     void squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                       uint64_t trigger_seq, bool selective);
     void repairConsumersOf(int slot, uint64_t producer_seq);
@@ -485,11 +392,25 @@ class Core
     LastArrivalMonitor lapMon_;
     CoreStats stats_;
 
-    /** Pluggable wakeup/select and register-file port strategies,
-     *  selected from the config at construction (see
-     *  sched_policy.hh / rf_policy.hh). */
-    SchedPolicy sched_;
-    RFPortPolicy rf_;
+    // --- Wakeup and register-file organization, read once from
+    //     cfg.wakeup / cfg.regfile at construction. ---
+    /** Sequential wakeup: every fast broadcast re-runs on the slow
+     *  bus one cycle later. */
+    bool slowBus_ = false;
+    /** Tag elimination: a scoreboard audits each issue for operands
+     *  that were not truly data-ready. */
+    bool tagElim_ = false;
+    /** Load-delay tracking: a wake further than DLT_MAX_DELAY
+     *  cycles ahead saturates and defers to the completion. */
+    bool delayTracking_ = false;
+    /** Sequential register access: an issue reading two register-
+     *  file ports takes +1 cycle and blocks one slot next cycle. */
+    bool seqRegAccess_ = false;
+    /** Read ports arbitrated across each select group (~0u =
+     *  unconstrained). */
+    unsigned portBudget_ = ~0u;
+    /** Operand-prefetch ports per cycle (0 = no prefetch buffer). */
+    unsigned prefetchBandwidth_ = 0;
 
     uint64_t cycle_ = 0;
     uint64_t nextSeq_ = 0;
@@ -515,11 +436,6 @@ class Core
     /** Ready/issued/priority bit planes, the dependency matrix and
      *  the slow-bus plane (issue_window.hh). */
     IssueWindowMasks masks_;
-    /** Cached policy traits (construction-time visitPolicy): does
-     *  every fast broadcast re-run on the slow bus, and does the
-     *  ready predicate reduce to allSrcReady() (mask_ready_all_src)? */
-    bool slowBus_ = false;
-    bool readyAllSrc_ = true;
 
     // squashWindow() scratch, members so recovery (a steady-state
     // occurrence under speculative scheduling) stops allocating

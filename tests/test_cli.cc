@@ -80,8 +80,9 @@ TEST(SimOptionsParse, FullMachineLine)
 {
     SimOptions o;
     std::string err;
-    ASSERT_EQ(parse({"--bench", "gzip", "--width", "8", "--wakeup",
-                     "tag-elim", "--regfile", "half-xbar",
+    ASSERT_EQ(parse({"--bench", "gzip", "--width", "8",
+                     "--sched-policy", "tag-elim", "--rf-policy",
+                     "half-xbar",
                      "--recovery", "sel", "--rename", "half", "--lap",
                      "512", "--bypass", "2", "--insts", "1000"},
                     o, err),
@@ -106,6 +107,11 @@ TEST(SimOptionsParse, UnknownOptionIsRejected)
     EXPECT_EQ(parse({"--frobnicate"}, o, err), 2);
     EXPECT_NE(err.find("unknown option"), std::string::npos);
     EXPECT_NE(err.find("--frobnicate"), std::string::npos);
+    // --sched-policy/--rf-policy are the only spelling per axis.
+    for (const char *retired : {"--wakeup", "--regfile", "--policy"}) {
+        EXPECT_EQ(parse({retired, "seq"}, o, err), 2) << retired;
+        EXPECT_NE(err.find("unknown option"), std::string::npos) << err;
+    }
 }
 
 TEST(SimOptionsParse, MalformedNumbersAreRejected)
@@ -151,8 +157,8 @@ TEST(SimOptionsParse, DuplicateFlagsAreLastWins)
 {
     SimOptions o;
     std::string err;
-    ASSERT_EQ(parse({"--insts", "100", "--wakeup", "conv", "--insts",
-                     "200", "--wakeup", "seq"},
+    ASSERT_EQ(parse({"--insts", "100", "--sched-policy", "conv",
+                     "--insts", "200", "--sched-policy", "seq"},
                     o, err),
               0)
         << err;
@@ -164,13 +170,13 @@ TEST(SimOptionsParse, EqualsFormMatchesSpaceForm)
 {
     SimOptions spaced, eq;
     std::string err;
-    ASSERT_EQ(parse({"--bench", "gzip", "--insts", "5000", "--wakeup",
-                     "seq", "--width", "8"},
+    ASSERT_EQ(parse({"--bench", "gzip", "--insts", "5000",
+                     "--sched-policy", "seq", "--width", "8"},
                     spaced, err),
               0)
         << err;
-    ASSERT_EQ(parse({"--bench=gzip", "--insts=5000", "--wakeup=seq",
-                     "--width=8"},
+    ASSERT_EQ(parse({"--bench=gzip", "--insts=5000",
+                     "--sched-policy=seq", "--width=8"},
                     eq, err),
               0)
         << err;
@@ -217,46 +223,10 @@ TEST(SimOptionsParse, BadModelNamesAreRejected)
 {
     SimOptions o;
     std::string err;
-    EXPECT_EQ(parse({"--wakeup", "psychic"}, o, err), 2);
+    EXPECT_EQ(parse({"--sched-policy", "psychic"}, o, err), 2);
     EXPECT_EQ(parse({"--recovery", "maybe"}, o, err), 2);
     EXPECT_EQ(parse({"--rename", "quarter"}, o, err), 2);
-    EXPECT_EQ(parse({"--regfile", "3port"}, o, err), 2);
-}
-
-TEST(SimOptionsParse, PolicyFlagsAliasModelFlags)
-{
-    SimOptions a, b;
-    std::string err;
-    ASSERT_EQ(parse({"--sched-policy", "dlt", "--rf-policy",
-                     "prefetch"},
-                    a, err),
-              0)
-        << err;
-    EXPECT_EQ(a.wakeup, core::WakeupModel::LoadDelayTracking);
-    EXPECT_EQ(a.regfile, core::RegfileModel::PrefetchBuffer);
-    ASSERT_EQ(parse({"--wakeup", "dlt", "--regfile", "prefetch"}, b,
-                    err),
-              0)
-        << err;
-    EXPECT_EQ(b.wakeup, a.wakeup);
-    EXPECT_EQ(b.regfile, a.regfile);
-}
-
-TEST(SimOptionsParse, PolicyListFormSetsBothModels)
-{
-    SimOptions o;
-    std::string err;
-    ASSERT_EQ(parse({"--policy", "sched=tag-elim,rf=half-xbar"}, o,
-                    err),
-              0)
-        << err;
-    EXPECT_EQ(o.wakeup, core::WakeupModel::TagElimination);
-    EXPECT_EQ(o.regfile, core::RegfileModel::HalfPortCrossbar);
-    // Single-item form works too.
-    SimOptions o2;
-    ASSERT_EQ(parse({"--policy", "rf=prefetch"}, o2, err), 0) << err;
-    EXPECT_EQ(o2.regfile, core::RegfileModel::PrefetchBuffer);
-    EXPECT_EQ(o2.wakeup, core::WakeupModel::Conventional);
+    EXPECT_EQ(parse({"--rf-policy", "3port"}, o, err), 2);
 }
 
 TEST(SimOptionsParse, UnknownPolicyNamesListTheRegistry)
@@ -273,19 +243,15 @@ TEST(SimOptionsParse, UnknownPolicyNamesListTheRegistry)
          {"2port", "extra-stage", "half-xbar", "prefetch"})
         EXPECT_NE(err.find(name), std::string::npos)
             << "rf error does not list " << name << ": " << err;
-    EXPECT_EQ(parse({"--policy", "sched=psychic"}, o, err), 2);
-    EXPECT_NE(err.find("dlt"), std::string::npos) << err;
-    EXPECT_EQ(parse({"--policy", "fetch=wide"}, o, err), 2);
-    EXPECT_NE(err.find("sched or rf"), std::string::npos) << err;
-    EXPECT_EQ(parse({"--policy", "just-a-name"}, o, err), 2);
-    EXPECT_NE(err.find("k=v"), std::string::npos) << err;
 }
 
 TEST(SimOptionsMachine, NewPolicySuffixesComposeTheMachineName)
 {
     SimOptions o;
     std::string err;
-    ASSERT_EQ(parse({"--policy", "sched=dlt,rf=prefetch"}, o, err),
+    ASSERT_EQ(parse({"--sched-policy", "dlt", "--rf-policy",
+                     "prefetch"},
+                    o, err),
               0)
         << err;
     sim::Machine m = tools::machineFor(o);
@@ -311,7 +277,8 @@ TEST(SimOptionsMachine, BuildsLegacyFiveComponentName)
 {
     SimOptions o;
     std::string err;
-    ASSERT_EQ(parse({"--wakeup", "seq", "--regfile", "seq"}, o, err),
+    ASSERT_EQ(parse({"--sched-policy", "seq", "--rf-policy", "seq"},
+                    o, err),
               0);
     sim::Machine m = tools::machineFor(o);
     EXPECT_EQ(m.name,

@@ -294,7 +294,7 @@ loop:   sub r1, #1, r1
 TEST(PolicyTiming, DltSaturatesDividerWakeupToCompletion)
 {
     // IntDiv latency (20) exceeds the 4-bit delay counter
-    // (dlt_max_delay = 15): the dependent's wakeup saturates to the
+    // (DLT_MAX_DELAY = 15): the dependent's wakeup saturates to the
     // divider's completion broadcast, one cycle after complete.
     const char *src = R"(
         li  r1, 84

@@ -3,8 +3,8 @@
 
 The repo's central performance claims — zero steady-state allocation
 in Core::tick, no unwind paths or indirect calls inside the bitmask
-scheduler, the policy zoo's "header-inlined dispatch, no virtual
-calls" contract — are enforced in two other places: the HPA002 regex
+scheduler, no virtual calls for any scheduler/register-file policy
+— are enforced in two other places: the HPA002 regex
 lint (tools/lint/hpa_lint.py) and the runtime operator-new counter
 (tests/test_hotpath_alloc.cc). Both can miss transitive callees and
 neither sees what the optimizer actually emitted. This tool closes
@@ -31,7 +31,7 @@ Ground truth, in preference order:
 
 Roots: Core::tick (the per-cycle pipeline) and Core::tickGuards (the
 rare-but-every-cycle guard hooks). Because every scheduler/register-file policy
-is compiled into one Core (runtime variant switch), a single static
+is compiled into one Core (plain CoreConfig branches), a single static
 reachability pass covers every registered policy combination: any
 code any combination could run on the hot path is reachable from
 these roots.
@@ -57,8 +57,8 @@ Properties (each reports named root->...->symbol violation paths):
                    already flagged at its source — so they are
                    counted (cleanup_landing_pads), not violated.
   P3 no-indirect   no indirect or virtual call site in the hot
-                   graph — the compiled proof of the policy zoo's
-                   "no virtual calls" contract and the bitmask
+                   graph — the compiled proof that no policy
+                   adds a virtual call, and of the bitmask
                    engine's inlining claims.
   P4 stack-bound   the worst-case static stack depth along any hot
                    path stays under --stack-limit bytes, and the hot

@@ -9,7 +9,11 @@
  * issue-to-complete; a replay reissues.
  *
  *   hpa_pipeview --asm kernel.s
- *   hpa_pipeview --bench bzip --insts 40 --wakeup seq --regfile seq
+ *   hpa_pipeview --bench bzip --insts 40 --sched-policy seq --rf-policy seq
+ *
+ * Policies resolve through the registry like every other CLI; a bad
+ * number, an unregistered policy or a width outside Table 1 is a
+ * one-line error and exit 2.
  */
 
 #include <cstring>
@@ -18,8 +22,12 @@
 #include <sstream>
 #include <vector>
 
+#include "core/policy_registry.hh"
+#include "sim/experiment.hh"
 #include "sim/simulation.hh"
 #include "workloads/workloads.hh"
+
+#include "sim_options.hh"
 
 namespace
 {
@@ -41,9 +49,21 @@ void
 usage(std::ostream &os)
 {
     os << "usage: hpa_pipeview (--asm FILE | --bench NAME) "
-          "[--insts N] [--width N]\n"
-          "       [--wakeup conv|seq|seq-nopred|tag-elim] "
-          "[--regfile 2port|seq|extra-stage|half-xbar]\n";
+          "[--insts N] [--width 4|8]\n"
+          "       [--sched-policy P] [--rf-policy P]\n"
+          "  scheduler policies: "
+       << core::schedPolicyNames()
+       << "\n  register-file policies: " << core::rfPolicyNames()
+       << "\n";
+}
+
+/** Print a usage error and return its exit status. */
+int
+usageError(const std::string &msg)
+{
+    std::cerr << msg << "\n";
+    usage(std::cerr);
+    return 2;
 }
 
 } // namespace
@@ -52,50 +72,41 @@ int
 main(int argc, char **argv)
 {
     std::string bench, asm_file;
+    std::string sched = "conv", rf = "2port";
     uint64_t insts = 32;
     unsigned width = 4;
-    core::CoreConfig cfg = core::fourWideConfig();
-
-    auto need = [&](int &i) -> std::string {
-        if (i + 1 >= argc) {
-            std::cerr << argv[i] << " needs a value\n";
-            std::exit(2);
-        }
-        return argv[++i];
-    };
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--help") {
             usage(std::cout);
             return 0;
-        } else if (a == "--bench") {
-            bench = need(i);
-        } else if (a == "--asm") {
-            asm_file = need(i);
-        } else if (a == "--insts") {
-            insts = std::stoull(need(i));
-        } else if (a == "--width") {
-            width = unsigned(std::stoul(need(i)));
-        } else if (a == "--wakeup") {
-            std::string v = need(i);
-            cfg.wakeup = v == "seq" ? core::WakeupModel::Sequential
-                : v == "seq-nopred" ? core::WakeupModel::SequentialNoPred
-                : v == "tag-elim" ? core::WakeupModel::TagElimination
-                : core::WakeupModel::Conventional;
-        } else if (a == "--regfile") {
-            std::string v = need(i);
-            cfg.regfile = v == "seq"
-                ? core::RegfileModel::SequentialAccess
-                : v == "extra-stage" ? core::RegfileModel::ExtraStage
-                : v == "half-xbar"
-                    ? core::RegfileModel::HalfPortCrossbar
-                    : core::RegfileModel::TwoPort;
-        } else {
-            std::cerr << "unknown option: " << a << "\n";
-            usage(std::cerr);
-            return 2;
         }
+        if (a != "--bench" && a != "--asm" && a != "--insts"
+            && a != "--width" && a != "--sched-policy"
+            && a != "--rf-policy")
+            return usageError("unknown option: " + a);
+        if (i + 1 >= argc)
+            return usageError(a + " needs a value");
+        std::string v = argv[++i];
+        std::string err;
+        if (a == "--bench") {
+            bench = v;
+        } else if (a == "--asm") {
+            asm_file = v;
+        } else if (a == "--insts") {
+            if (!tools::parseNumber(v, insts))
+                err = "--insts expects an unsigned integer, got '" + v
+                    + "'";
+        } else if (a == "--width") {
+            err = tools::parseUnsignedOption(a, v, width);
+        } else if (a == "--sched-policy") {
+            sched = v;
+        } else {
+            rf = v;
+        }
+        if (!err.empty())
+            return usageError(err);
     }
 
     if (bench.empty() == asm_file.empty()) {
@@ -103,11 +114,16 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (width == 8) {
-        auto w8 = core::eightWideConfig();
-        w8.wakeup = cfg.wakeup;
-        w8.regfile = cfg.regfile;
-        cfg = w8;
+    core::CoreConfig cfg;
+    try {
+        cfg = sim::Machine::base(width)
+                  .schedPolicy(sched)
+                  .rfPolicy(rf)
+                  .build()
+                  .cfg;
+    } catch (const ConfigError &e) {
+        std::cerr << "error: " << e.oneLine() << "\n";
+        return 2;
     }
 
     try {

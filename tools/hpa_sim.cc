@@ -5,7 +5,7 @@
  * assembly file on any machine configuration, print IPC and,
  * optionally, emit the text report or schema-versioned JSON/CSV.
  *
- *   hpa_sim --bench gzip --width 4 --wakeup seq --regfile seq
+ *   hpa_sim --bench gzip --width 4 --sched-policy seq --rf-policy seq
  *   hpa_sim --bench gzip --insts 200000 --stats-json out.json
  *   hpa_sim --asm kernel.s --insts 1000000 --report
  *   hpa_sim --list
@@ -54,12 +54,9 @@ machine:
   --width N           4 (default) or 8: Table 1 base machines
   --sched-policy P    scheduler (wakeup/select) policy: conv
                       (default) | seq | seq-nopred | tag-elim | dlt
-                      (--wakeup is an alias)
   --rf-policy P       register-file read-port policy: 2port
                       (default) | seq | extra-stage | half-xbar |
-                      prefetch (--regfile is an alias)
-  --policy K=V,...    list form of the two above, e.g.
-                      --policy sched=dlt,rf=prefetch
+                      prefetch
   --recovery MODEL    nonsel (default) | sel
   --rename MODEL      2port (default) | half
   --lap N             last-arrival predictor entries (default 1024;

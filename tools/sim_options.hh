@@ -103,30 +103,6 @@ parseUnsignedOption(const std::string &opt, const std::string &text,
     return "";
 }
 
-/** Scheduler-policy lookup over the registry ("conv", "seq",
- *  "seq-nopred", "tag-elim", "dlt", ...). */
-inline bool
-parseWakeupModel(const std::string &v, core::WakeupModel &out)
-{
-    const core::SchedPolicyInfo *info = core::findSchedPolicy(v);
-    if (!info)
-        return false;
-    out = info->model;
-    return true;
-}
-
-/** Register-file-policy lookup over the registry ("2port", "seq",
- *  "extra-stage", "half-xbar", "prefetch", ...). */
-inline bool
-parseRegfileModel(const std::string &v, core::RegfileModel &out)
-{
-    const core::RFPolicyInfo *info = core::findRFPolicy(v);
-    if (!info)
-        return false;
-    out = info->model;
-    return true;
-}
-
 inline bool
 parseRecoveryModel(const std::string &v, core::RecoveryModel &out)
 {
@@ -227,51 +203,22 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
         } else if (a == "--width") {
             if (!needUnsigned(&opt.width))
                 return 2;
-        } else if (a == "--wakeup" || a == "--sched-policy") {
-            if (!need(&v) || !parseWakeupModel(v, opt.wakeup))
-                return fail(a + " expects a registered scheduler "
-                                "policy ("
+        } else if (a == "--sched-policy") {
+            const core::SchedPolicyInfo *p =
+                need(&v) ? core::findSchedPolicy(v) : nullptr;
+            if (!p)
+                return fail("--sched-policy expects a registered "
+                            "scheduler policy ("
                             + core::schedPolicyNames() + ")");
-        } else if (a == "--regfile" || a == "--rf-policy") {
-            if (!need(&v) || !parseRegfileModel(v, opt.regfile))
-                return fail(a + " expects a registered register-file "
-                                "policy ("
+            opt.wakeup = p->model;
+        } else if (a == "--rf-policy") {
+            const core::RFPolicyInfo *p =
+                need(&v) ? core::findRFPolicy(v) : nullptr;
+            if (!p)
+                return fail("--rf-policy expects a registered "
+                            "register-file policy ("
                             + core::rfPolicyNames() + ")");
-        } else if (a == "--policy") {
-            // k=v list form: --policy sched=dlt,rf=prefetch
-            if (!need(&v))
-                return fail("--policy needs a k=v list "
-                            "(sched=NAME,rf=NAME)");
-            std::string list = v;
-            while (!list.empty()) {
-                size_t comma = list.find(',');
-                std::string item = list.substr(0, comma);
-                list = comma == std::string::npos
-                    ? std::string() : list.substr(comma + 1);
-                size_t eq = item.find('=');
-                if (eq == std::string::npos)
-                    return fail("--policy item '" + item
-                                + "' is not k=v (sched=NAME or "
-                                  "rf=NAME)");
-                std::string key = item.substr(0, eq);
-                std::string val = item.substr(eq + 1);
-                if (key == "sched") {
-                    if (!parseWakeupModel(val, opt.wakeup))
-                        return fail(
-                            "--policy sched: unknown policy '" + val
-                            + "' (registered: "
-                            + core::schedPolicyNames() + ")");
-                } else if (key == "rf") {
-                    if (!parseRegfileModel(val, opt.regfile))
-                        return fail(
-                            "--policy rf: unknown policy '" + val
-                            + "' (registered: "
-                            + core::rfPolicyNames() + ")");
-                } else {
-                    return fail("--policy key must be sched or rf, "
-                                "got '" + key + "'");
-                }
-            }
+            opt.regfile = p->model;
         } else if (a == "--recovery") {
             if (!need(&v) || !parseRecoveryModel(v, opt.recovery))
                 return fail("--recovery expects nonsel | sel");
@@ -338,7 +285,7 @@ applyRobustnessKnobs(const SimOptions &opt, core::CoreConfig &cfg)
  * --lap was given, because the builder rejects a predictor table on
  * predictor-less wakeup schemes. Throws hpa::ConfigError (a
  * std::invalid_argument) on invalid combinations (bad width, --lap
- * with --wakeup conv, ...). The robustness knobs (--watchdog,
+ * with --sched-policy conv, ...). The robustness knobs (--watchdog,
  * --check-interval) are applied after build(); they do not alter
  * the machine name.
  */
