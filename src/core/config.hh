@@ -167,9 +167,11 @@ struct CoreConfig
     /**
      * Periodic scheduler cross-validation: every N cycles the
      * incrementally maintained ready/issued/store lists are re-derived
-     * from the window by brute force and compared; a mismatch throws
-     * hpa::InvariantViolation naming the diverged list. The pass is
-     * O(window) — costless when 0 (the default, one compare/cycle).
+     * from the window by brute force and compared, and the dependency
+     * matrix is checked to hold every in-window producer -> consumer
+     * operand bit; a mismatch throws hpa::InvariantViolation naming
+     * the diverged list or the missing bit. The pass is O(window) —
+     * costless when 0 (the default, one compare/cycle).
      */
     uint64_t check_interval = 0;
 

@@ -203,9 +203,6 @@ struct RunResult
     uint64_t cycles = 0;
     /** Instructions functionally skipped before timing began. */
     uint64_t fastForwarded = 0;
-    /** Wall-clock seconds of the timing run (excludes workload
-     *  assembly and functional fast-forward). */
-    double wallSeconds = 0.0;
     /** How the run ended; a failed cell keeps its spec and outcome
      *  but may have no sim and zeroed metrics. */
     RunOutcome outcome;
@@ -219,13 +216,6 @@ struct RunResult
         return outcome.ok() && cycles > 0;
     }
 
-    /** Simulated cycles per wall second (host throughput). */
-    double
-    cyclesPerSec() const
-    {
-        return wallSeconds > 0 ? double(cycles) / wallSeconds : 0.0;
-    }
-
     /** The core's statistics block (requires sim). */
     const core::CoreStats &coreStats() const;
 
@@ -235,20 +225,17 @@ struct RunResult
 
     /**
      * Serialize onto @p jw as one "hpa.run.v3" object: the spec,
-     * the status/error outcome, the metrics and (optionally) the
-     * full stats snapshot. v2 added status, valid, steady_missing,
-     * attempts and — on failed cells — error_kind/error over v1;
-     * v3 drops attempts (cells are never retried).
-     * Wall-clock fields are emitted only when @p with_timing — keep
-     * them out of committed reference artifacts, which must be
-     * reproducible byte-for-byte.
+     * the status/error outcome, the metrics and, when the run has a
+     * sim, the full stats snapshot. v2 added status, valid,
+     * steady_missing, attempts and — on failed cells —
+     * error_kind/error over v1; v3 drops attempts (cells are never
+     * retried). The document holds no host timing, so the same run
+     * always gives the same bytes.
      */
-    void toJson(stats::json::JsonWriter &jw, bool with_stats = true,
-                bool with_timing = false) const;
+    void toJson(stats::json::JsonWriter &jw) const;
 
     /** Standalone toJson() convenience: one document on @p os. */
-    void toJson(std::ostream &os, bool with_stats = true,
-                bool with_timing = false) const;
+    void toJson(std::ostream &os) const;
 
     /** Schema tag of toJson() documents. */
     static constexpr const char *JSON_SCHEMA = "hpa.run.v3";

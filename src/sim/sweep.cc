@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-// hpa-nolint(HPA007): host wall-time measurement for throughput reporting; never simulated state
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -72,13 +70,7 @@ runCell(const SweepJob &job, workloads::WorkloadCache &cache,
     if (job.fault == FaultKind::BlockCommit)
         r.sim->core().testBlockCommitAfter(job.fault_cycle);
 
-    // hpa-nolint(HPA007): wall-time around the run; reported, never fed back
-    auto t0 = std::chrono::steady_clock::now();
     r.sim->run(job.max_cycles);
-    // hpa-nolint(HPA007): wall-time around the run; reported, never fed back
-    auto t1 = std::chrono::steady_clock::now();
-    // hpa-nolint(HPA007): wall-time around the run; reported, never fed back
-    r.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
     r.ipc = r.sim->ipc();
     r.committed = r.sim->core().stats().committed.value();
     r.cycles = r.sim->core().cycle();
@@ -100,7 +92,6 @@ runOne(const SweepJob &job, workloads::WorkloadCache &cache)
         r.sim.reset();
         r.ipc = 0.0;
         r.committed = r.cycles = r.fastForwarded = 0;
-        r.wallSeconds = 0.0;
 
         RunOutcome &o = r.outcome;
         const auto *se = dynamic_cast<const SimError *>(&e);

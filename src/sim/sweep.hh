@@ -85,8 +85,8 @@ class SweepRunner
  * All-or-nothing view of a sweep: throws hpa::WorkloadError listing
  * every failed cell (workload, machine, one-line error) when any
  * result is not ok. Harnesses that cannot use partial results — the
- * figure generators, the golden gate's serial path — call this right
- * after SweepRunner::run().
+ * figure and table generators — call this right after
+ * SweepRunner::run().
  */
 void requireAllOk(const std::vector<SweepResult> &results);
 

@@ -112,6 +112,11 @@ TEST(SimOptionsParse, UnknownOptionIsRejected)
         EXPECT_EQ(parse({retired, "seq"}, o, err), 2) << retired;
         EXPECT_NE(err.find("unknown option"), std::string::npos) << err;
     }
+    // Grids run through hpa_bench_sweep; hpa_sim runs one cell.
+    EXPECT_EQ(parse({"--sweep"}, o, err), 2);
+    EXPECT_NE(err.find("unknown option"), std::string::npos) << err;
+    EXPECT_EQ(parse({"--jobs", "4"}, o, err), 2);
+    EXPECT_NE(err.find("unknown option"), std::string::npos) << err;
 }
 
 TEST(SimOptionsParse, MalformedNumbersAreRejected)
@@ -137,7 +142,7 @@ TEST(SimOptionsParse, OverflowNumericsAreRejected)
     }
     // Fits uint64_t but not the unsigned field: must be an error,
     // not a silent truncation (4294967300 would wrap to width 4).
-    for (const char *flag : {"--width", "--jobs", "--lap", "--bypass"}) {
+    for (const char *flag : {"--width", "--lap", "--bypass"}) {
         SimOptions o;
         std::string err;
         EXPECT_EQ(parse({flag, "4294967300"}, o, err), 2)
@@ -202,7 +207,7 @@ TEST(SimOptionsParse, EqualsFormRejectsBadValuesLikeSpaceForm)
 TEST(SimOptionsParse, EqualsFormOnValuelessFlagIsRejected)
 {
     for (const char *bad :
-         {"--report=yes", "--sweep=1", "--no-fastforward=off"}) {
+         {"--report=yes", "--list=1", "--no-fastforward=off"}) {
         SimOptions o;
         std::string err;
         EXPECT_EQ(parse({bad}, o, err), 2) << "accepted " << bad;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_util.hh"
+#include "core/policy_registry.hh"
 #include "sim/sweep.hh"
 #include "workloads/workloads.hh"
 
@@ -163,6 +164,48 @@ TEST(SweepDeterminism, PolicyZooMatchesSerial)
         serial[i].sim->report(a);
         parallel[i].sim->report(b);
         EXPECT_EQ(a.str(), b.str()) << what;
+    }
+}
+
+TEST(PolicyGrid, EveryRegisteredPairRunsCleanAtBothWidths)
+{
+    // Every scheduler x register-file pair of the registry, not just
+    // the paper and zoo grids (tag-elim + half-xbar, dlt + seq-rf,
+    // ...), at both Table 1 widths on every workload, with the
+    // scheduler cross-check on: each cell must finish its budget
+    // with no invariant, deadlock or accounting failure.
+    const uint64_t BUDGET = 2000;
+    std::vector<sim::SweepJob> jobs;
+    for (unsigned width : {4u, 8u}) {
+        for (const auto &sp : core::schedPolicies()) {
+            for (const auto &rp : core::rfPolicies()) {
+                sim::Machine m = sim::Machine::base(width)
+                                     .schedPolicy(sp.name)
+                                     .rfPolicy(rp.name)
+                                     .build();
+                m.cfg.check_interval = 16;
+                for (const auto &n : workloads::benchmarkNames()) {
+                    sim::SweepJob j;
+                    j.workload = n;
+                    j.machine = m;
+                    j.max_insts = BUDGET;
+                    jobs.push_back(j);
+                }
+            }
+        }
+    }
+    ASSERT_EQ(jobs.size(), 2 * core::schedPolicies().size()
+                               * core::rfPolicies().size()
+                               * workloads::benchmarkNames().size());
+
+    workloads::WorkloadCache cache;
+    auto res = sim::SweepRunner(4, &cache).run(jobs);
+    ASSERT_EQ(res.size(), jobs.size());
+    for (const sim::SweepResult &r : res) {
+        std::string what = r.spec.machine.name + "|" + r.spec.workload;
+        EXPECT_TRUE(r.outcome.ok()) << what << ": " << r.outcome.error;
+        EXPECT_TRUE(r.valid()) << what;
+        EXPECT_EQ(r.committed, BUDGET) << what;
     }
 }
 

@@ -1,13 +1,15 @@
 /**
  * @file
- * Host-throughput benchmark of the full reproduction sweep: run
- * every (paper machine x benchmark) pair once on the thread pool,
- * each cell replaying its workload's shared committed trace, and
- * emit BENCH_sweep.json ("hpa.bench-sweep.v5") with per-run status,
- * IPC, wall time, simulated-cycles/sec and the run's registry policy
- * names (sched_policy / rf_policy) plus the sweep's wall time.
- * Results do not depend on the worker count (SweepDeterminism tests
- * pin --jobs 8 against --jobs 1), so the sweep is measured once.
+ * The one grid runner: run every (machine x benchmark) cell of a
+ * sweep once on the thread pool, each cell replaying its workload's
+ * shared committed trace, optionally gate the IPCs against a golden
+ * map, and with --out write the "hpa.bench-sweep.v6" artifact:
+ * per-run status, IPC, committed instructions, cycles and the run's
+ * registry policy names (sched_policy / rf_policy). The artifact
+ * holds no host timing, so its bytes are the same at any --jobs on
+ * any host (SweepDeterminism tests pin jobs(8) against jobs(1)).
+ * Host speed is measured by the reproduction benchmark,
+ * perfbench/run.py.
  *
  *   hpa_bench_sweep [--insts N] [--jobs N] [--out FILE]
  *                   [--zoo | --sched-policy P | --rf-policy P]
@@ -23,13 +25,13 @@
  * --check compares the sweep's IPC values against a golden JSON map
  * ("hpa.sweep-golden.v1", tools/golden_sweep_ipc.json in the repo)
  * and fails with a per-cell diff on any drift, and with a list of
- * missing keys when any golden cell has no ok run — the cheap
- * regression gate run by tools/run_full_sweep.sh.
+ * missing keys when any golden cell has no ok run — the regression
+ * gate behind the golden_sweep_ipc and golden_zoo_ipc ctests.
  *
  * Failed cells are fault-isolated: they appear in the JSON with
  * status/error_kind/error, are excluded from the golden comparison,
- * and turn the exit status non-zero — the
- * artifact with every surviving cell is still written. --inject
+ * and turn the exit status non-zero; the artifact still carries
+ * every surviving cell. --inject
  * (test only; KIND = poison | invariant | hang) plants a fault in
  * one job so these paths can be exercised end to end.
  *
@@ -39,13 +41,11 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -114,31 +114,10 @@ parseGolden(const std::string &text)
     return kv;
 }
 
-double
-wallSeconds(const std::function<void()> &fn)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-/** Everything the v5 artifact header needs besides the runs. */
-struct ArtifactMeta
-{
-    uint64_t insts = 0;
-    unsigned hw = 1;
-    unsigned requested_jobs = 0;
-    bool jobs_clamped = false;
-    unsigned jobs = 1;
-    double wall = 0.0;
-};
-
 bool
 emitArtifact(const std::string &out,
              const std::vector<sim::SweepResult> &results,
-             const ArtifactMeta &m)
+             uint64_t insts)
 {
     std::ofstream os(out);
     if (!os) {
@@ -154,16 +133,9 @@ emitArtifact(const std::string &out,
     }
     stats::json::JsonWriter jw(os);
     jw.beginObject()
-        .kv("schema", "hpa.bench-sweep.v5")
-        .kv("insts_per_run", m.insts)
-        .kv("hardware_threads", m.hw)
-        .kv("requested_jobs", uint64_t(m.requested_jobs))
-        .kv("jobs_clamped", m.jobs_clamped)
-        .kv("jobs", m.jobs)
-        .kv("wall_seconds", m.wall, 3)
+        .kv("schema", "hpa.bench-sweep.v6")
+        .kv("insts_per_run", insts)
         .kv("total_simulated_cycles", total_cycles)
-        .kv("aggregate_cycles_per_sec",
-            m.wall > 0 ? double(total_cycles) / m.wall : 0.0, 0)
         .kv("ok_runs", uint64_t(results.size() - failed))
         .kv("failed_runs", uint64_t(failed));
     jw.key("runs").beginArray();
@@ -180,9 +152,7 @@ emitArtifact(const std::string &out,
             .kv("steady_missing", r.outcome.steadyMissing)
             .kv("ipc", r.ipc, 6)
             .kv("committed", r.committed)
-            .kv("cycles", r.cycles)
-            .kv("wall_seconds", r.wallSeconds, 4)
-            .kv("cycles_per_sec", r.cyclesPerSec(), 0);
+            .kv("cycles", r.cycles);
         if (!r.outcome.ok()) {
             jw.kv("error_kind", kindName(r.outcome.errorKind))
                 .kv("error", r.outcome.error);
@@ -291,8 +261,7 @@ goldenCheck(const std::string &check,
 
 /** Report failed cells on stderr. @return their count. */
 size_t
-reportFailures(const std::vector<sim::SweepResult> &results,
-               const std::string &out)
+reportFailures(const std::vector<sim::SweepResult> &results)
 {
     size_t failed = 0;
     for (const sim::SweepResult &r : results)
@@ -300,9 +269,9 @@ reportFailures(const std::vector<sim::SweepResult> &results,
             ++failed;
     if (failed) {
         std::fprintf(stderr,
-                     "\n%zu of %zu runs failed (artifact %s still "
-                     "carries every surviving cell):\n",
-                     failed, results.size(), out.c_str());
+                     "\n%zu of %zu runs failed (every other cell is "
+                     "complete):\n",
+                     failed, results.size());
         for (const sim::SweepResult &r : results)
             if (!r.outcome.ok())
                 std::fprintf(stderr, "  %s @ %s: %s\n",
@@ -314,8 +283,8 @@ reportFailures(const std::vector<sim::SweepResult> &results,
 }
 
 /** Pre-build every workload and its committed trace touched by
- *  @p jobs so the timed pass pays no assembly or one-time
- *  emulation. */
+ *  @p jobs, so a budget the trace buffer cannot hold fails once,
+ *  before any cell runs. */
 void
 prebuildWorkloads(const std::vector<sim::SweepJob> &jobs,
                   uint64_t insts)
@@ -343,7 +312,7 @@ main(int argc, char **argv)
 {
     uint64_t insts = 50000;
     unsigned jobs = 0;
-    std::string out = "BENCH_sweep.json";
+    std::string out;
     std::string check;
     std::string write_golden;
     bool zoo = false;
@@ -467,30 +436,12 @@ main(int argc, char **argv)
             sweep[idx].machine.cfg.watchdog_cycles = 20000;
     }
 
-    unsigned hw = sim::SweepRunner::resolveJobs(0);
-    unsigned requested_jobs = jobs;
-    unsigned run_jobs = sim::SweepRunner::resolveJobs(jobs);
-    bool jobs_clamped = false;
-    if (run_jobs > hw) {
-        // Oversubscribing a throughput benchmark only adds context
-        // switches; the runs would still be deterministic, but the
-        // timing numbers would not mean what the artifact claims.
-        std::fprintf(stderr,
-                     "warning: --jobs %u exceeds the %u hardware "
-                     "thread(s); clamping to %u\n",
-                     requested_jobs, hw, hw);
-        run_jobs = hw;
-        jobs_clamped = true;
-    }
+    sim::SweepRunner runner(jobs);
     std::printf("%zu runs (%zu machines x %zu benchmarks), "
-                "%llu insts per run, %u hardware thread(s)\n",
+                "%llu insts per run, %u workers\n",
                 sweep.size(), machines.size(), names.size(),
-                static_cast<unsigned long long>(insts), hw);
+                static_cast<unsigned long long>(insts), runner.jobs());
 
-    // Pre-build every workload and pre-capture each committed trace
-    // so assembly and the one-time emulation stay out of the timed
-    // pass. A budget the trace buffer cannot hold fails here, before
-    // any cell runs, so report it and stop.
     try {
         prebuildWorkloads(sweep, insts);
     } catch (const std::exception &e) {
@@ -501,28 +452,16 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::printf("sweep (%u workers)...\n", run_jobs);
-    sim::SweepRunner runner(run_jobs);
-    std::vector<sim::SweepResult> results;
-    double wall = wallSeconds([&] { results = runner.run(sweep); });
-    std::printf("sweep %.2f s at %u workers\n", wall, run_jobs);
+    std::vector<sim::SweepResult> results = runner.run(sweep);
 
-    ArtifactMeta meta;
-    meta.insts = insts;
-    meta.hw = hw;
-    meta.requested_jobs = requested_jobs;
-    meta.jobs_clamped = jobs_clamped;
-    meta.jobs = run_jobs;
-    meta.wall = wall;
-
-    if (!emitArtifact(out, results, meta))
+    if (!out.empty() && !emitArtifact(out, results, insts))
         return 1;
     if (!write_golden.empty()
         && !writeGoldenFile(write_golden, results, insts))
         return 1;
     if (!check.empty() && goldenCheck(check, results, insts) != 0)
         return 1;
-    if (reportFailures(results, out) > 0)
+    if (reportFailures(results) > 0)
         return 1;
     return 0;
 }

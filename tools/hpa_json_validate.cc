@@ -46,52 +46,18 @@ requiredFields()
             {"hpa.prove.v1",
              {"mode", "roots", "properties", "stale_allows",
               "ok"}},
-            {"hpa.run.v2",
-             {"workload", "machine", "status", "valid",
-              "steady_missing", "attempts", "ipc", "committed",
-              "cycles"}},
             // v3 drops attempts (cells are never retried).
             {"hpa.run.v3",
              {"workload", "machine", "status", "valid",
               "steady_missing", "ipc", "committed", "cycles"}},
-            {"hpa.bench-sweep.v2",
-             {"insts_per_run", "batch", "batches_formed",
-              "lanes_max", "ok_runs", "failed_runs", "runs",
-              "status", "valid"}},
-            // v3 adds the per-run registry policy names.
-            {"hpa.bench-sweep.v3",
-             {"insts_per_run", "batch", "batches_formed",
-              "lanes_max", "ok_runs", "failed_runs", "runs",
-              "status", "valid", "sched_policy", "rf_policy"}},
-            // v4 drops the batching and retry fields.
-            {"hpa.bench-sweep.v4",
-             {"insts_per_run", "ok_runs", "failed_runs", "runs",
-              "status", "valid", "sched_policy", "rf_policy"}},
-            // v5 measures the sweep once: parallel_jobs/
-            // parallel_wall_seconds become jobs/wall_seconds, and the
-            // serial pass, speedup and the engine and replay switches go.
-            {"hpa.bench-sweep.v5",
-             {"insts_per_run", "jobs", "wall_seconds", "ok_runs",
+            // No host timing: the bytes are the same at any --jobs
+            // on any host.
+            {"hpa.bench-sweep.v6",
+             {"insts_per_run", "total_simulated_cycles", "ok_runs",
               "failed_runs", "runs", "status", "valid",
-              "sched_policy", "rf_policy"}},
+              "sched_policy", "rf_policy", "ipc", "committed",
+              "cycles"}},
             {"hpa.sweep-golden.v1", {"insts_per_run"}},
-            {"hpa.micro-throughput.v1",
-             {"insts_per_run", "total_simulated_cycles",
-              "aggregate_cycles_per_sec", "runs"}},
-            {"hpa.micro-throughput.v2",
-             {"insts_per_run", "batch", "total_simulated_cycles",
-              "aggregate_cycles_per_sec", "lane_cycles_per_sec",
-              "runs"}},
-            // v3 drops batch and batches_formed.
-            {"hpa.micro-throughput.v3",
-             {"insts_per_run", "total_simulated_cycles",
-              "aggregate_cycles_per_sec", "lane_cycles_per_sec",
-              "runs"}},
-            // v4 drops the per-run engine field.
-            {"hpa.micro-throughput.v4",
-             {"insts_per_run", "total_simulated_cycles",
-              "aggregate_cycles_per_sec", "lane_cycles_per_sec",
-              "runs"}},
         };
     return req;
 }

@@ -42,10 +42,8 @@ struct SimOptions
     uint64_t cycles = 0;
     bool fastforward = true;
     bool report = false;
-    bool sweep = false;
     bool list = false;
     bool help = false;
-    unsigned jobs = 0;
     /** --watchdog N: deadlock watchdog threshold in cycles
      *  (0 disables). Unset keeps the CoreConfig default. */
     uint64_t watchdog = 0;
@@ -189,11 +187,6 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
             opt.help = true;
         } else if (a == "--list") {
             opt.list = true;
-        } else if (a == "--sweep") {
-            opt.sweep = true;
-        } else if (a == "--jobs") {
-            if (!needUnsigned(&opt.jobs))
-                return 2;
         } else if (a == "--bench") {
             if (!need(&opt.bench))
                 return fail("--bench needs a value");
@@ -267,17 +260,6 @@ parseSimOptions(const std::vector<std::string> &args, SimOptions &opt,
     return 0;
 }
 
-/** Apply --watchdog / --check-interval onto a core configuration
- *  (sweep mode applies them to every reproduction machine). */
-inline void
-applyRobustnessKnobs(const SimOptions &opt, core::CoreConfig &cfg)
-{
-    if (opt.watchdog_set)
-        cfg.watchdog_cycles = opt.watchdog;
-    if (opt.check_interval)
-        cfg.check_interval = opt.check_interval;
-}
-
 /**
  * Assemble the machine the options describe. Every model setter is
  * applied (wakeup, regfile, recovery, rename) so the machine name
@@ -301,7 +283,10 @@ machineFor(const SimOptions &opt)
     if (opt.lap_set)
         b.lap(opt.lap);
     sim::Machine m = b.build();
-    applyRobustnessKnobs(opt, m.cfg);
+    if (opt.watchdog_set)
+        m.cfg.watchdog_cycles = opt.watchdog;
+    if (opt.check_interval)
+        m.cfg.check_interval = opt.check_interval;
     return m;
 }
 
