@@ -161,6 +161,11 @@ class Core
     }
 
     const CoreStats &stats() const { return stats_; }
+
+    /** Events the calendar has scheduled so far: an exact,
+     *  host-independent work count. Deliberately not a registered
+     *  statistic, so it adds nothing to hpa.stats.v1 documents. */
+    uint64_t eventsScheduled() const { return events_.scheduled(); }
     const CoreConfig &config() const { return cfg_; }
     const LastArrivalMonitor &lapMonitor() const { return lapMon_; }
     mem::Hierarchy &hierarchy() { return hier_; }

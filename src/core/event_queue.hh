@@ -84,6 +84,7 @@ class CalendarQueue
              unsigned rank = 0)
     {
         ++pending_;
+        ++scheduled_;
         if (when - now <= mask_)
             slots_[when & mask_][rank].push_back(ev);
         else
@@ -127,6 +128,9 @@ class CalendarQueue
     /** Events scheduled and not yet drained. */
     size_t pending() const { return pending_; }
 
+    /** Events scheduled since construction (an exact work count). */
+    uint64_t scheduled() const { return scheduled_; }
+
     /** Events currently parked beyond the ring horizon. */
     size_t
     overflowPending() const
@@ -142,6 +146,7 @@ class CalendarQueue
     std::vector<Bucket> slots_;
     uint64_t mask_;
     size_t pending_ = 0;
+    uint64_t scheduled_ = 0;
     /** when -> events, for when - now > mask_ at schedule time.
      *  Only touched when an event outruns the 256-cycle ring horizon
      *  (the default config never does); correctness needs the

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulation.hh"
+#include "sim/sweep.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -726,6 +728,27 @@ TEST(CommitListener, ObservesEveryCommitInOrder)
     s.run(5000000);
     EXPECT_TRUE(ordered);
     EXPECT_EQ(count, s.core().stats().committed.value());
+}
+
+// --- Event traffic. ---
+
+TEST(EventCount, PinnedOnFourWideGzip)
+{
+    // An exact, host-independent work count: the calendar events one
+    // fixed cell schedules. A change to the event machinery moves it,
+    // a change elsewhere in the core should not.
+    sim::SweepJob j;
+    j.workload = "gzip";
+    j.machine = sim::Machine::base(4);
+    j.max_insts = 50000;
+    workloads::WorkloadCache cache;
+    auto res = sim::SweepRunner(1, &cache).run({j});
+    ASSERT_EQ(res.size(), 1u);
+    ASSERT_TRUE(res[0].outcome.ok()) << res[0].outcome.error;
+    const core::Core &c = res[0].sim->core();
+    EXPECT_EQ(c.stats().committed.value(), 50000u);
+    EXPECT_EQ(c.cycle(), 24215u);
+    EXPECT_EQ(c.eventsScheduled(), 89227u);
 }
 
 // --- Pipeline-state dump. ---

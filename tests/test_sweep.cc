@@ -5,7 +5,10 @@
  *  the harness helpers. */
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -167,15 +170,50 @@ TEST(SweepDeterminism, PolicyZooMatchesSerial)
     }
 }
 
+/** 64-bit FNV-1a of @p text: a fingerprint of one stats document. */
+uint64_t
+fnv1a(const std::string &text)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** `key digest` lines of @p path ('#' lines are comments). */
+std::map<std::string, std::string>
+readDigests(const std::string &path)
+{
+    std::map<std::string, std::string> out;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string key, digest;
+        ls >> key >> digest;
+        out[key] = digest;
+    }
+    return out;
+}
+
 TEST(PolicyGrid, EveryRegisteredPairRunsCleanAtBothWidths)
 {
     // Every scheduler x register-file pair of the registry, not just
     // the paper and zoo grids (tag-elim + half-xbar, dlt + seq-rf,
     // ...), at both Table 1 widths on every workload, with the
     // scheduler cross-check on: each cell must finish its budget
-    // with no invariant, deadlock or accounting failure.
+    // with no invariant, deadlock or accounting failure, and its
+    // full hpa.stats.v1 document must hash to the recorded digest.
+    // The digest catches what no IPC golden does: a per-slot field
+    // leaking across slot reuse moves sched.* or rf.* counters
+    // without moving IPC.
     const uint64_t BUDGET = 2000;
     std::vector<sim::SweepJob> jobs;
+    std::vector<std::string> keys;
     for (unsigned width : {4u, 8u}) {
         for (const auto &sp : core::schedPolicies()) {
             for (const auto &rp : core::rfPolicies()) {
@@ -190,6 +228,9 @@ TEST(PolicyGrid, EveryRegisteredPairRunsCleanAtBothWidths)
                     j.machine = m;
                     j.max_insts = BUDGET;
                     jobs.push_back(j);
+                    keys.push_back(std::to_string(width) + "w|"
+                                   + std::string(sp.name) + "|"
+                                   + std::string(rp.name) + "|" + n);
                 }
             }
         }
@@ -201,11 +242,42 @@ TEST(PolicyGrid, EveryRegisteredPairRunsCleanAtBothWidths)
     workloads::WorkloadCache cache;
     auto res = sim::SweepRunner(4, &cache).run(jobs);
     ASSERT_EQ(res.size(), jobs.size());
-    for (const sim::SweepResult &r : res) {
+    const auto golden =
+        readDigests(HPA_GOLDEN_DIR "/policy_grid_stats.txt");
+    std::ostringstream actual;
+    unsigned mismatched = 0;
+    for (size_t i = 0; i < res.size(); ++i) {
+        const sim::SweepResult &r = res[i];
         std::string what = r.spec.machine.name + "|" + r.spec.workload;
         EXPECT_TRUE(r.outcome.ok()) << what << ": " << r.outcome.error;
         EXPECT_TRUE(r.valid()) << what;
         EXPECT_EQ(r.committed, BUDGET) << what;
+        if (!r.sim)
+            continue;
+        std::ostringstream doc;
+        r.statsRegistry().toJson(doc);
+        char hex[17];
+        std::snprintf(hex, sizeof hex, "%016llx",
+                      static_cast<unsigned long long>(
+                          fnv1a(doc.str())));
+        actual << keys[i] << " " << hex << "\n";
+        auto it = golden.find(keys[i]);
+        if (it == golden.end() || it->second != hex) {
+            if (++mismatched <= 10)
+                ADD_FAILURE() << keys[i] << ": stats digest " << hex
+                              << ", golden "
+                              << (it == golden.end() ? "missing"
+                                                     : it->second);
+        }
+    }
+    EXPECT_EQ(golden.size(), jobs.size());
+    if (mismatched) {
+        // The full listing, for review before re-recording the
+        // golden (a digest moves only when a statistic does).
+        std::ofstream("policy_grid_stats.actual.txt") << actual.str();
+        ADD_FAILURE() << mismatched << " of " << jobs.size()
+                      << " cells moved; actual digests written to "
+                         "policy_grid_stats.actual.txt";
     }
 }
 
