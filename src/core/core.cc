@@ -77,7 +77,7 @@ CoreStats::regStats(stats::Registry &reg)
 
 Core::Core(const CoreConfig &cfg, InstSource &source)
     : cfg_(cfg), source_(source), hier_(cfg.mem), bp_(cfg.bpred),
-      fu_(cfg), lap_(cfg.lap_entries), window_(cfg.ruu_size)
+      fu_(cfg), lap_(cfg.lap_entries), cold_(cfg.ruu_size)
 {
     // Every hot-path container is sized to its configuration bound
     // here so steady-state simulation allocates nothing: the bit
@@ -86,9 +86,10 @@ Core::Core(const CoreConfig &cfg, InstSource &source)
     // the front-end depth.
     HPA_CHECK(cfg.ruu_size > 0 && cfg.ruu_size <= 32767,
               "ruu_size must fit Event::slot (int16)");
-    storeSlots_.reset(cfg.ruu_size);
+    stores_.reset(cfg.ruu_size);
     fetchQueue_.reset(size_t(cfg.front_end_depth) * cfg.width);
     masks_.reset(cfg.ruu_size);
+    slots_.reset(cfg.ruu_size);
     slowBus_ = cfg.sequentialWakeup();
     tagElim_ = cfg.wakeup == WakeupModel::TagElimination;
     delayTracking_ = cfg.wakeup == WakeupModel::LoadDelayTracking;
@@ -102,10 +103,10 @@ Core::Core(const CoreConfig &cfg, InstSource &source)
     squashList_.reserve(cfg.ruu_size);
     squashTainted_.reserve(size_t(cfg.ruu_size) + 1);
     squashIn_.reserve(cfg.ruu_size);
-    // A cycle's event bucket delivers wake/complete/detect events
-    // keyed to window slots; with only a few events in flight per
-    // in-window instruction, ruu_size + width bounds any single
-    // cycle's bucket comfortably. Exceeding it is still correct
+    // A cycle's event bucket delivers wake/detect events keyed to
+    // window slots; with only a few events in flight per in-window
+    // instruction, ruu_size + width bounds any single cycle's bucket
+    // comfortably. Exceeding it is still correct
     // (the vector grows), just no longer allocation-free —
     // test_hotpath_alloc guards the contract.
     events_.reserveSlots(size_t(cfg.ruu_size) + cfg.width);
@@ -119,31 +120,31 @@ Core::Core(const CoreConfig &cfg, InstSource &source)
 // --------------------------------------------------------------------
 
 bool
-Core::schedReady(const DynInst &di)
+Core::schedReady(const SlotOperands &ops)
 {
-    for (unsigned i = 0; i < di.numSrc; ++i)
-        if (di.src[i].watched && !di.src[i].ready)
+    for (unsigned i = 0; i < ops.numSrc; ++i)
+        if (ops.src[i].watched && !ops.src[i].ready)
             return false;
+    if (!ops.requireDataReady)
+        return true;
     // After a detected mis-issue the tag-elimination scoreboard holds
     // the entry until every value is truly available.
-    return !di.requireDataReady || di.allSrcDataReady();
+    for (unsigned i = 0; i < ops.numSrc; ++i)
+        if (!ops.src[i].dataReady())
+            return false;
+    return true;
 }
 
-/** Reconcile one slot's ready-plane membership with its state. Call
- *  after any transition that can change schedReady()/issued. */
+/** Reconcile an in-window slot's ready-plane bit with its state.
+ *  Call after any transition that can change schedReady() or the
+ *  issued bit. */
 void
 Core::updateReadySlot(unsigned slot)
 {
-    DynInst &di = window_[slot];
-    bool want = di.inWindow && !di.issued && !di.completed
-        && schedReady(di);
-    if (want == di.inReadyList)
-        return;
-    if (want)
+    if (!masks_.issued.test(slot) && schedReady(slots_.ops[slot]))
         masks_.ready.set(slot);
     else
         masks_.ready.clear(slot);
-    di.inReadyList = want;
 }
 
 namespace
@@ -167,55 +168,61 @@ listText(const char *name, const std::vector<unsigned> &have,
 } // namespace
 
 std::string
-Core::sideListDivergence() const
+Core::planeDivergence() const
 {
-    std::vector<unsigned> want_ready, want_issued, want_stores;
+    std::vector<unsigned> want_ready, want_issued, want_stores,
+        want_occupied;
     unsigned idx = head_;
     for (unsigned n = 0; n < windowCount_; ++n) {
-        const DynInst &di = window_[idx];
-        if (di.inWindow) {
-            if (!di.issued && !di.completed && schedReady(di))
-                want_ready.push_back(idx);
-            if (di.issued && !di.completed)
-                want_issued.push_back(idx);
-            if (di.isStore())
-                want_stores.push_back(idx);
-        }
+        want_occupied.push_back(idx);
+        bool issued = slots_.completeCycle[idx] != NO_CYCLE;
+        if (issued)
+            want_issued.push_back(idx);
+        else if (schedReady(slots_.ops[idx]))
+            want_ready.push_back(idx);
+        if (slots_.rec[idx]->inst.isStore())
+            want_stores.push_back(idx);
         idx = (idx + 1) % cfg_.ruu_size;
     }
     std::vector<unsigned> have_ready = readyListSnapshot();
     if (want_ready != have_ready)
-        return listText("ready list", have_ready, want_ready);
+        return listText("ready plane", have_ready, want_ready);
     std::vector<unsigned> have_issued = issuedListSnapshot();
     if (want_issued != have_issued)
-        return listText("issued list", have_issued, want_issued);
+        return listText("issued plane", have_issued, want_issued);
+    std::vector<unsigned> have_occupied =
+        masks_.occupancy.toVector(head_);
+    if (want_occupied != have_occupied)
+        return listText("occupancy plane", have_occupied,
+                        want_occupied);
     std::vector<unsigned> have_stores;
-    have_stores.reserve(storeSlots_.size());
-    for (size_t i = 0; i < storeSlots_.size(); ++i)
-        have_stores.push_back(storeSlots_[i]);
+    have_stores.reserve(stores_.size());
+    for (size_t i = 0; i < stores_.size(); ++i) {
+        const StoreEntry &st = stores_[i];
+        const func::ExecRecord &rec = *slots_.rec[st.slot];
+        if (st.seq != slots_.seq[st.slot] || st.lo != rec.effAddr
+            || st.hi != rec.effAddr + rec.inst.memSize())
+            return "store ring entry " + std::to_string(i)
+                + " does not match slot " + std::to_string(st.slot);
+        have_stores.push_back(st.slot);
+    }
     if (want_stores != have_stores)
-        return listText("store list", have_stores, want_stores);
-    for (unsigned slot : have_ready)
-        if (!window_[slot].inReadyList)
-            return "slot " + std::to_string(slot)
-                + " is in the ready list but its inReadyList flag "
-                  "is clear";
+        return listText("store ring", have_stores, want_stores);
     // Dependency-matrix completeness: every scheduling operand whose
     // producer is still in the window must have its bit in that
     // producer's row, or the producer's broadcast would miss it.
     // Dispatch hands out consecutive seqs and only commit (at the
     // head) removes entries, so seq - head seq is the age offset.
-    const uint64_t head_seq = window_[head_].seq;
+    const uint64_t head_seq = slots_.seq[head_];
     idx = head_;
     for (unsigned n = 0; n < windowCount_; ++n) {
-        const DynInst &di = window_[idx];
-        for (unsigned k = 0; di.inWindow && k < di.numSrc; ++k) {
-            uint64_t pseq = di.src[k].producerSeq;
+        for (unsigned k = 0; k < slots_.ops[idx].numSrc; ++k) {
+            uint64_t pseq = cold_[idx].producerSeq[k];
             if (pseq == NO_SEQ || pseq < head_seq)
                 continue; // no producer, or it has committed
             unsigned p = unsigned((head_ + (pseq - head_seq))
                                   % cfg_.ruu_size);
-            if (!window_[p].inWindow || window_[p].seq != pseq)
+            if (slots_.seq[p] != pseq)
                 return "slot " + std::to_string(idx) + " operand "
                     + std::to_string(k) + " names producer seq "
                     + std::to_string(pseq)
@@ -233,15 +240,15 @@ Core::sideListDivergence() const
 }
 
 bool
-Core::readyListConsistent() const
+Core::planesConsistent() const
 {
-    return sideListDivergence().empty();
+    return planeDivergence().empty();
 }
 
 void
-Core::crossValidate() const
+Core::crossValidatePlanes() const
 {
-    std::string diverged = sideListDivergence();
+    std::string diverged = planeDivergence();
     if (!diverged.empty())
         throw hpa::InvariantViolation(
             "scheduler cross-validation: " + diverged,
@@ -271,20 +278,22 @@ Core::dumpPipelineState() const
        << " fetchq=" << fetchQueue_.size()
        << " ready=" << masks_.ready.count()
        << " issued=" << masks_.issued.count()
-       << " stores=" << storeSlots_.size()
+       << " stores=" << stores_.size()
        << " events_pending=" << events_.pending() << "\n";
     os << "  slot      seq         pc  disp  issue  compl  "
           "state  disasm\n";
     // The oldest entries explain a stall: dump the head of the
-    // window (the commit blocker is always window_[head_]).
+    // window (the commit blocker is always the head slot).
     const unsigned MAX_ROWS = 16;
     unsigned idx = head_;
     for (unsigned n = 0; n < windowCount_ && n < MAX_ROWS; ++n) {
-        const DynInst &di = window_[idx];
+        const SlotCold &cold = cold_[idx];
+        const bool issued = masks_.issued.test(idx);
         char buf[64];
         std::snprintf(buf, sizeof buf, "  %4u %8llu %10llx", idx,
-                      static_cast<unsigned long long>(di.seq),
-                      static_cast<unsigned long long>(di.rec->pc));
+                      static_cast<unsigned long long>(slots_.seq[idx]),
+                      static_cast<unsigned long long>(
+                          slots_.rec[idx]->pc));
         os << buf;
         auto cyc = [&](uint64_t c) {
             char b[32];
@@ -295,16 +304,16 @@ Core::dumpPipelineState() const
                               static_cast<unsigned long long>(c));
             os << b;
         };
-        cyc(di.dispatchCycle);
-        cyc(di.issueCycle);
-        cyc(di.completeCycle);
+        cyc(cold.dispatchCycle);
+        cyc(issued ? slots_.issueCycle[idx] : NO_CYCLE);
+        cyc(slots_.completeCycle[idx]);
         std::string state;
-        state += di.issued ? 'I' : '.';
-        state += di.completed ? 'C' : '.';
-        state += di.inReadyList ? 'R' : '.';
-        state += di.loadMissReplay ? 'M' : '.';
+        state += issued ? 'I' : '.';
+        state += slots_.completeCycle[idx] <= cycle_ ? 'C' : '.';
+        state += masks_.ready.test(idx) ? 'R' : '.';
+        state += issued && cold.loadMissReplay ? 'M' : '.';
         os << "  " << state << "   "
-           << di.rec->inst.disassemble() << "\n";
+           << slots_.rec[idx]->inst.disassemble() << "\n";
         idx = (idx + 1) % cfg_.ruu_size;
     }
     if (windowCount_ > MAX_ROWS)
@@ -369,7 +378,7 @@ Core::tickGuards()
     }
 
     if (cfg_.check_interval && cycle_ % cfg_.check_interval == 0)
-        crossValidate();
+        crossValidatePlanes();
 
     if (cfg_.watchdog_cycles && windowCount_ > 0
         && cycle_ - lastCommitCycle_ > cfg_.watchdog_cycles)
@@ -408,9 +417,8 @@ Core::tickGuards()
 // --------------------------------------------------------------------
 
 void
-Core::commitFormatStats(const DynInst &di)
+Core::commitFormatStats(const isa::StaticInst &si)
 {
-    const isa::StaticInst &si = di.rec->inst;
     if (si.isStore()) {
         ++stats_.fmtStores;
         return;
@@ -439,38 +447,53 @@ Core::commit()
         return; // test hook: simulate a wedged commit stage
     unsigned budget = cfg_.width;
     while (budget > 0 && windowCount_ > 0) {
-        DynInst &di = window_[head_];
-        if (!di.completed || di.completeCycle >= cycle_)
+        const unsigned slot = head_;
+        // Complete once the cycle has passed completeCycle (NO_CYCLE
+        // while unissued): commit follows completion by a cycle.
+        if (slots_.completeCycle[slot] >= cycle_)
             break;
+        const func::ExecRecord &rec = *slots_.rec[slot];
+        const uint64_t seq = slots_.seq[slot];
 
-        if (di.isStore())
-            hier_.dataAccess(di.rec->effAddr, true);
+        if (rec.inst.isStore())
+            hier_.dataAccess(rec.effAddr, true);
 
-        isa::RegIndex dest = di.rec->inst.destReg();
+        isa::RegIndex dest = rec.inst.destReg();
         if (dest != isa::NO_REG && !isa::isZeroReg(dest)
-            && lastProducer_[dest].seq == di.seq)
+            && lastProducer_[dest].seq == seq)
             lastProducer_[dest] = ProducerRef{};
 
-        commitFormatStats(di);
-        if (commitListener_)
-            commitListener_(di, cycle_);
+        commitFormatStats(rec.inst);
+        if (commitListener_) {
+            const SlotCold &c = cold_[slot];
+            commitListener_(
+                CommittedInst{&rec, seq, c.fetchCycle, c.dispatchCycle,
+                              slots_.issueCycle[slot],
+                              slots_.completeCycle[slot],
+                              slots_.issueToken[slot], c.seqRegAccess,
+                              c.loadMissReplay},
+                cycle_);
+        }
         // The producer's dependency rows are left stale: commit is
         // in order and every consumer is younger, so a committed
         // slot's rows can never be scanned again before its
         // re-dispatch clears them (deferring the row clear keeps
-        // commit row-free).
-        masks_.occupancy.clear(head_);
-        di.inWindow = false;
-        if (di.isStore()) {
-            HPA_CHECK_CTX(!storeSlots_.empty()
-                              && storeSlots_.front() == head_,
+        // commit row-free). Invalidating the seq makes every
+        // seq-match test (event staleness, producer lookups) see
+        // the slot as empty.
+        masks_.occupancy.clear(slot);
+        masks_.issued.clear(slot);
+        slots_.seq[slot] = NO_SEQ;
+        if (rec.inst.isStore()) {
+            HPA_CHECK_CTX(!stores_.empty()
+                              && stores_.front().slot == slot,
                           "committing store at head slot "
-                              + std::to_string(head_)
-                              + " not at front of the store list",
+                              + std::to_string(slot)
+                              + " not at front of the store ring",
                           invariantContext());
-            storeSlots_.pop_front();
+            stores_.pop_front();
         }
-        if (di.rec->inst.isMemRef())
+        if (rec.inst.isMemRef())
             --lsqCount_;
         ++stats_.committed;
         lastCommitCycle_ = cycle_;
@@ -496,7 +519,7 @@ Core::scheduleEvent(uint64_t when, Event ev)
                   "event scheduled for cycle " + std::to_string(when)
                       + ", not in the future",
                   invariantContext());
-    events_.schedule(when, cycle_, ev, unsigned(eventRank(ev.kind)));
+    events_.schedule(when, cycle_, ev, eventRank(ev.kind));
 }
 
 // hpa-prove-allow(P1,P2): beginCycle() migrates far-future events
@@ -512,23 +535,21 @@ Core::processEvents()
     auto &bucket = events_.beginCycle(cycle_);
 
     // The calendar splits each cycle's events by rank at schedule
-    // time, so delivery is one compare-free pass per rank class:
-    // identical order to the old flat bucket's three filtered scans
-    // (rank class ascending, schedule order within a class) without
-    // re-walking the whole cycle once per class. Handlers only
+    // time, so delivery is one compare-free pass per rank class
+    // (rank ascending, schedule order within a rank). Handlers only
     // schedule strictly-future events, so no vector is appended to
-    // mid-iteration; the staleness filter runs at delivery time,
-    // exactly as before.
-    for (int rank = 0; rank < 3; ++rank) {
-        for (const Event &ev : bucket[size_t(rank)]) {
-            DynInst &di = window_[ev.slot];
-            if (!di.inWindow || di.seq != ev.seq || !di.issued
-                || di.issueToken != ev.token)
+    // mid-iteration. The staleness filter runs at delivery time: a
+    // committed slot's seq is NO_SEQ, a re-dispatched one holds a
+    // new seq, and every squash and re-issue bumps the token.
+    for (size_t rank = 0; rank < bucket.size(); ++rank) {
+        for (const Event &ev : bucket[rank]) {
+            const unsigned s = unsigned(ev.slot);
+            if (slots_.seq[s] != ev.seq
+                || slots_.issueToken[s] != ev.token)
                 continue;
             switch (ev.kind) {
               case EventKind::FastWake: handleFastWake(ev); break;
               case EventKind::SlowWake: handleSlowWake(ev); break;
-              case EventKind::Complete: handleComplete(ev); break;
               case EventKind::LoadMissDetect:
                 handleLoadMiss(ev);
                 break;
@@ -546,19 +567,21 @@ Core::processEvents()
 // static footprint, so inserts and rehashes die out after warm-up
 // (cross-checked dynamically by tests/test_hotpath_alloc.cc)
 void
-Core::noteSecondWake(DynInst &ci, uint64_t now)
+Core::noteSecondWake(unsigned slot)
 {
     // Called when the second operand data-wakeup of a 2-pending
     // instruction is observed: record Figure 6 / Table 3 samples and
     // train the last-arrival predictors.
-    uint64_t slack = now - ci.firstWakeCycle;
+    const SlotCold &c = cold_[slot];
+    const uint64_t pc = slots_.rec[slot]->pc;
+    uint64_t slack = cycle_ - c.firstWakeCycle;
     stats_.wakeupSlack.sample(
         static_cast<unsigned>(std::min<uint64_t>(slack, 4)));
 
     bool simultaneous = slack == 0;
     // The operand waking *now* is the last-arriving one; on a
     // simultaneous wakeup the order is undefined.
-    bool right_last = !simultaneous && ci.firstWakeWasLeft;
+    bool right_last = !simultaneous && c.firstWakeWasLeft;
 
     if (!simultaneous) {
         if (right_last)
@@ -566,7 +589,6 @@ Core::noteSecondWake(DynInst &ci, uint64_t now)
         else
             ++stats_.leftLast;
 
-        uint64_t pc = ci.rec->pc;
         auto [hist, inserted] =
             orderHistory_.try_emplace(pc, right_last ? 1 : 0);
         if (!inserted) {
@@ -578,60 +600,58 @@ Core::noteSecondWake(DynInst &ci, uint64_t now)
         }
         lap_.update(pc, right_last);
     }
-    lapMon_.resolve(ci.rec->pc, ci.shadowPredBits, simultaneous,
-                    right_last);
+    lapMon_.resolve(pc, c.shadowPredBits, simultaneous, right_last);
 
     // Sequential wakeup: the tag of the last-arriving operand is
     // visible one cycle late when it landed on the slow side; a
     // simultaneous wakeup always pays the slow-bus cycle (one side is
     // always slow). slowSide is only ever set under sequential wakeup.
-    for (unsigned i = 0; i < ci.numSrc; ++i) {
-        const OperandState &op = ci.src[i];
-        if (op.slowSide
-            && (simultaneous || op.leftField != ci.firstWakeWasLeft)) {
+    const SlotOperands &ops = slots_.ops[slot];
+    for (unsigned i = 0; i < ops.numSrc; ++i) {
+        if (ops.src[i].slowSide
+            && (simultaneous || c.leftField[i] != c.firstWakeWasLeft)) {
             ++stats_.seqWakeupDelayed;
             break;
         }
     }
 }
 
-/** @return true when any operand state changed — the caller only
- *  needs to reconcile ready-list membership (updateReadySlot) after
- *  a real transition; schedReady() is a pure function of operand
- *  state, so a no-op broadcast cannot change membership. */
+/** Deliver a broadcast to operand @p k of the consumer in @p slot.
+ *  @return true when any operand state changed — the caller only
+ *  needs to reconcile the ready plane (updateReadySlot) after a real
+ *  transition; schedReady() is a pure function of operand state, so
+ *  a no-op broadcast cannot change membership. */
 bool
-Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
-                  uint64_t producer_seq, bool slow_bus)
+Core::wakeOperand(unsigned slot, unsigned k, bool slow_bus)
 {
+    SlotOperands &ops = slots_.ops[slot];
+    SrcOperand &op = ops.src[k];
     if (slow_bus) {
         // Slow-bus re-broadcast: only slow-side operands gain their
         // tag match here; data availability was recorded at the fast
         // broadcast.
-        if (op.slowSide && !op.ready && op.dataReady) {
+        if (op.slowSide && !op.ready && op.dataReady()) {
             op.ready = true;
-            op.wakeCycle = now;
-            op.wakeProducerSeq = producer_seq;
             return true;
         }
         return false;
     }
 
     bool changed = false;
-    if (!op.dataReady) {
+    if (!op.dataReady()) {
         changed = true;
-        op.dataReady = true;
-        op.dataReadyCycle = now;
-        op.wakeProducerSeq = producer_seq;
+        op.dataReadyCycle = cycle_;
 
-        if (ci.twoPending && !ci.lapResolved) {
-            if (ci.wakesSeen == 0) {
-                ci.wakesSeen = 1;
-                ci.firstWakeCycle = now;
-                ci.firstWakeWasLeft = op.leftField;
+        if (ops.lapOpen) {
+            SlotCold &c = cold_[slot];
+            if (c.wakesSeen == 0) {
+                c.wakesSeen = 1;
+                c.firstWakeCycle = cycle_;
+                c.firstWakeWasLeft = c.leftField[k];
             } else {
-                ci.wakesSeen = 2;
-                ci.lapResolved = true;
-                noteSecondWake(ci, now);
+                c.wakesSeen = 2;
+                ops.lapOpen = false;
+                noteSecondWake(slot);
             }
         }
     }
@@ -640,8 +660,6 @@ Core::wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
     // the re-broadcast, an unwatched one has no comparator.
     if (!op.slowSide && op.watched && !op.ready) {
         op.ready = true;
-        op.wakeCycle = now;
-        op.wakeProducerSeq = producer_seq;
         changed = true;
     }
     return changed;
@@ -663,18 +681,17 @@ Core::handleFastWake(const Event &ev)
     scanSetBitsFrom2(
         masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
         head_, [&](unsigned s, bool in0, bool in1) {
-            DynInst &ci = window_[s];
             for (unsigned k = 0; k < 2; ++k) {
                 if (!(k == 0 ? in0 : in1))
                     continue;
-                OperandState &op = ci.src[k];
-                if (wakeOperand(ci, op, cycle_, ev.seq, false))
+                if (wakeOperand(s, k, false))
                     updateReadySlot(s);
                 // File the slow-plane residue: consumers whose tag
                 // match arrives only on the +1 re-broadcast (under
                 // sequential wakeup a fast-woken operand still
                 // lacking its tag is a slow-side one).
-                if (slowBus_ && !op.ready && op.dataReady) {
+                const SrcOperand &op = slots_.ops[s].src[k];
+                if (slowBus_ && !op.ready && op.dataReady()) {
                     masks_.slowPend.set(p, s);
                     need_slow = true;
                 }
@@ -701,11 +718,10 @@ Core::handleSlowWake(const Event &ev)
     const unsigned p = unsigned(ev.slot);
     scanSetBitsFrom(
         masks_.slowPend.row(p), cfg_.ruu_size, head_, [&](unsigned s) {
-            DynInst &ci = window_[s];
             for (unsigned k = 0; k < 2; ++k) {
                 if (!masks_.dep[k].test(p, s))
                     continue;
-                if (wakeOperand(ci, ci.src[k], cycle_, ev.seq, true))
+                if (wakeOperand(s, k, true))
                     updateReadySlot(s);
             }
             return true;
@@ -713,55 +729,35 @@ Core::handleSlowWake(const Event &ev)
 }
 
 void
-Core::handleComplete(const Event &ev)
+Core::repairConsumersOf(unsigned slot)
 {
-    DynInst &di = window_[ev.slot];
-    di.completed = true;
-    di.completeCycle = cycle_;
-    masks_.issued.clear(unsigned(ev.slot));
-
-    if (di.mispredictedBranch && fetchStalledOnBranch_) {
-        fetchStalledOnBranch_ = false;
-        fetchResumeCycle_ =
-            std::max(cycle_ + 1,
-                     di.fetchCycle + cfg_.min_branch_penalty);
-    }
-}
-
-void
-Core::repairConsumersOf(int slot, uint64_t producer_seq)
-{
-    // Un-wake every operand this producer speculatively woke.
-    auto repairOp = [&](DynInst &ci, OperandState &op, unsigned s) {
-        if (op.producerSeq != producer_seq
-            || op.wakeProducerSeq != producer_seq)
+    // Un-wake every operand this producer woke. Under the dependency
+    // matrix's lifetime invariant each visited operand names this
+    // producer, so an operand holding a value got it from this
+    // producer's broadcast.
+    auto repairOp = [&](unsigned s, unsigned k) {
+        SlotOperands &ops = slots_.ops[s];
+        SrcOperand &op = ops.src[k];
+        if (!op.dataReady())
             return;
-        if (!op.dataReady && !op.ready)
-            return;
-        if (op.dataReady && ci.twoPending && !ci.lapResolved) {
+        if (ops.lapOpen) {
             // Un-record the speculative wakeup observation.
-            if (ci.wakesSeen > 0)
-                --ci.wakesSeen;
-            if (ci.wakesSeen == 0)
-                ci.firstWakeCycle = NO_CYCLE;
+            SlotCold &c = cold_[s];
+            if (c.wakesSeen > 0)
+                --c.wakesSeen;
         }
         op.ready = false;
-        op.dataReady = false;
-        op.wakeCycle = NO_CYCLE;
         op.dataReadyCycle = NO_CYCLE;
-        op.wakeProducerSeq = NO_SEQ;
         updateReadySlot(s);
     };
 
-    const unsigned p = unsigned(slot);
     scanSetBitsFrom2(
-        masks_.dep[0].row(p), masks_.dep[1].row(p), cfg_.ruu_size,
+        masks_.dep[0].row(slot), masks_.dep[1].row(slot), cfg_.ruu_size,
         head_, [&](unsigned s, bool in0, bool in1) {
-            DynInst &ci = window_[s];
             if (in0)
-                repairOp(ci, ci.src[0], s);
+                repairOp(s, 0);
             if (in1)
-                repairOp(ci, ci.src[1], s);
+                repairOp(s, 1);
         });
 }
 
@@ -774,17 +770,21 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                    uint64_t trigger_seq, bool selective)
 {
     // Collect issued-in-shadow instructions. The issued plane holds
-    // exactly the issued-and-incomplete window entries; scanning it
-    // from head_ visits them oldest first, the same order as a
-    // head-to-tail window scan. The scratch vectors are members
-    // (capacity reserved at window size), so recovery allocates
-    // nothing once warm.
+    // the issued window entries; those still incomplete are the
+    // candidates. Detections deliver before this cycle's completions
+    // would, so an entry completing this very cycle still counts as
+    // incomplete (completeCycle >= cycle_). Scanning from head_
+    // visits them oldest first, the same order as a head-to-tail
+    // window scan. The scratch vectors are members (capacity
+    // reserved at window size), so recovery allocates nothing once
+    // warm.
     std::vector<int> &candidates = squashCandidates_;
     candidates.clear();
     masks_.issued.forEachFrom(head_, [&](unsigned slot) {
-        DynInst &di = window_[slot];
-        if (di.seq != trigger_seq && di.issueCycle >= first_cycle
-            && di.issueCycle <= last_cycle)
+        uint64_t issue = slots_.issueCycle[slot];
+        if (slots_.completeCycle[slot] >= cycle_
+            && slots_.seq[slot] != trigger_seq && issue >= first_cycle
+            && issue <= last_cycle)
             candidates.push_back(int(slot));
         return true;
     });
@@ -806,15 +806,19 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
             for (size_t i = 0; i < candidates.size(); ++i) {
                 if (in[i])
                     continue;
-                DynInst &di = window_[candidates[i]];
-                for (unsigned s = 0; s < di.numSrc; ++s) {
-                    uint64_t wp = di.src[s].wakeProducerSeq;
-                    if (wp == NO_SEQ)
+                const unsigned slot = unsigned(candidates[i]);
+                const SlotOperands &ops = slots_.ops[slot];
+                for (unsigned s = 0; s < ops.numSrc; ++s) {
+                    // The producer whose broadcast delivered the
+                    // value, if one did.
+                    if (!ops.src[s].dataReady()
+                        || !ops.src[s].fromProducer)
                         continue;
+                    uint64_t wp = cold_[slot].producerSeq[s];
                     if (std::find(tainted.begin(), tainted.end(), wp)
                         != tainted.end()) {
                         in[i] = 1;
-                        tainted.push_back(di.seq);
+                        tainted.push_back(slots_.seq[slot]);
                         changed = true;
                         break;
                     }
@@ -826,50 +830,52 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                 squash.push_back(candidates[i]);
     }
 
-    for (int slot : squash) {
-        DynInst &di = window_[slot];
-        di.issued = false;
-        ++di.issueToken;
-        di.seqRegAccess = false;
-        di.wakeBroadcastCycle = NO_CYCLE;
-        if (di.tagElimMisissue) {
-            di.tagElimMisissue = false;
-            di.requireDataReady = true;
+    for (int i : squash) {
+        const unsigned slot = unsigned(i);
+        ++slots_.issueToken[slot];
+        slots_.completeCycle[slot] = NO_CYCLE;
+        slots_.wakeCycle[slot] = NO_CYCLE;
+        SlotCold &c = cold_[slot];
+        if (c.tagElimMisissue) {
+            c.tagElimMisissue = false;
+            slots_.ops[slot].requireDataReady = true;
         }
         ++stats_.squashedIssues;
-        masks_.issued.clear(unsigned(slot));
-        updateReadySlot(unsigned(slot));
-        repairConsumersOf(slot, di.seq);
+        masks_.issued.clear(slot);
+        updateReadySlot(slot);
+        repairConsumersOf(slot);
     }
 }
 
 void
 Core::handleLoadMiss(const Event &ev)
 {
-    DynInst &load = window_[ev.slot];
-    HPA_CHECK_CTX(load.isLoad() && load.loadMissReplay,
+    const unsigned slot = unsigned(ev.slot);
+    const func::ExecRecord &rec = *slots_.rec[slot];
+    const SlotCold &c = cold_[slot];
+    HPA_CHECK_CTX(rec.inst.isLoad() && c.loadMissReplay,
                   "load-miss event for slot "
                       + std::to_string(ev.slot)
                       + " that is not a replaying load",
                   invariantContext());
 
+    const uint64_t issue = slots_.issueCycle[slot];
     uint64_t assumed_total = 1 + hier_.assumedLoadLatency();
-    uint64_t first = load.issueCycle + assumed_total;
+    uint64_t first = issue + assumed_total;
     uint64_t last = first + cfg_.replay_shadow - 1;
-    squashWindow(first, last, load.seq,
+    squashWindow(first, last, ev.seq,
                  cfg_.recovery == RecoveryModel::Selective);
 
     // Cancel the speculative wakeups of the load's own dependents and
     // re-broadcast at the true arrival time. A delay-tracking policy
     // whose counter cannot represent the remaining latency defers
     // the re-broadcast to the load's completion instead.
-    repairConsumersOf(ev.slot, load.seq);
-    uint64_t true_wake = load.issueCycle + 1 + load.memLatency;
-    uint64_t load_complete =
-        load.issueCycle + cfg_.schedToExec() + load.latency - 1;
+    repairConsumersOf(slot);
+    uint64_t true_wake = issue + 1 + c.memLatency;
+    uint64_t load_complete = issue + cfg_.schedToExec() + c.latency - 1;
     true_wake = trackedWake(true_wake, load_complete);
-    load.wakeBroadcastCycle = true_wake;
-    isa::RegIndex dest = load.rec->inst.destReg();
+    slots_.wakeCycle[slot] = true_wake;
+    isa::RegIndex dest = rec.inst.destReg();
     if (dest != isa::NO_REG && !isa::isZeroReg(dest)
         && true_wake > cycle_)
         scheduleEvent(true_wake,
@@ -880,11 +886,11 @@ Core::handleLoadMiss(const Event &ev)
 void
 Core::handleTagElim(const Event &ev)
 {
-    DynInst &di = window_[ev.slot];
-    if (!di.tagElimMisissue)
+    const unsigned slot = unsigned(ev.slot);
+    if (!cold_[slot].tagElimMisissue)
         return;
-    uint64_t first = di.issueCycle;
-    uint64_t last = di.issueCycle + cfg_.tagelim_detect_delay;
+    uint64_t first = slots_.issueCycle[slot];
+    uint64_t last = first + cfg_.tagelim_detect_delay;
     squashWindow(first, last, NO_SEQ, false);
 }
 
@@ -893,40 +899,30 @@ Core::handleTagElim(const Event &ev)
 // --------------------------------------------------------------------
 
 bool
-Core::eligible(const DynInst &di) const
+Core::lsqAllowsLoad(unsigned slot) const
 {
-    if (!di.inWindow || di.issued || di.completed
-        || di.dispatchCycle >= cycle_)
-        return false;
-    return schedReady(di);
-}
-
-bool
-Core::lsqAllowsLoad(const DynInst &load) const
-{
-    uint64_t lo = load.rec->effAddr;
-    uint64_t hi = lo + load.rec->inst.memSize();
-    // storeSlots_ holds the in-window stores in program order, so
-    // the overlap search touches only older stores instead of the
-    // whole window.
-    for (size_t k = 0; k < storeSlots_.size(); ++k) {
-        const DynInst &di = window_[storeSlots_[k]];
-        if (di.seq >= load.seq)
+    const func::ExecRecord &rec = *slots_.rec[slot];
+    const uint64_t seq = slots_.seq[slot];
+    uint64_t lo = rec.effAddr;
+    uint64_t hi = lo + rec.inst.memSize();
+    // stores_ holds the in-window stores in program order, so the
+    // overlap search touches only older stores instead of the whole
+    // window.
+    for (size_t k = 0; k < stores_.size(); ++k) {
+        const StoreEntry &st = stores_[k];
+        if (st.seq >= seq)
             break;
-        uint64_t slo = di.rec->effAddr;
-        uint64_t shi = slo + di.rec->inst.memSize();
-        if (slo < hi && lo < shi) {
+        if (st.lo < hi && lo < st.hi) {
             // Overlapping older store: its address must be known
             // (agen issued) and its data produced before the load
             // can obtain a forwarded value.
-            if (!di.issued)
+            if (!masks_.issued.test(st.slot))
                 return false;
-            if (di.storeDataProducerSeq != NO_SEQ) {
-                const DynInst &p =
-                    window_[di.storeDataProducerSlot];
-                if (p.inWindow
-                    && p.seq == di.storeDataProducerSeq
-                    && !p.completed)
+            const SlotCold &c = cold_[st.slot];
+            if (c.storeDataProducerSeq != NO_SEQ) {
+                const unsigned p = unsigned(c.storeDataProducerSlot);
+                if (slots_.seq[p] == c.storeDataProducerSeq
+                    && slots_.completeCycle[p] > cycle_)
                     return false;
             }
         }
@@ -935,15 +931,15 @@ Core::lsqAllowsLoad(const DynInst &load) const
 }
 
 unsigned
-Core::computeRfPorts(const DynInst &di) const
+Core::computeRfPorts(const SlotOperands &ops) const
 {
     // An operand is captured from the bypass network only when its
     // value arrives within the bypass window ending at the issue
     // cycle (Section 4.2 assumes a 1-cycle window); anything older
     // is a register-file read.
     unsigned ports = 0;
-    for (unsigned i = 0; i < di.numSrc; ++i) {
-        const OperandState &op = di.src[i];
+    for (unsigned i = 0; i < ops.numSrc; ++i) {
+        const SrcOperand &op = ops.src[i];
         // Only values observed arriving on the bypass network
         // qualify; operands read from the architectural register
         // file at insert (no producer broadcast) never do. A value
@@ -951,9 +947,7 @@ Core::computeRfPorts(const DynInst &di) const
         // either (PrefetchBuffer policy; the flag is never set
         // elsewhere).
         bool bypassed = op.prefetched
-            || (op.dataReady
-                && op.wakeProducerSeq != NO_SEQ
-                && op.dataReadyCycle <= cycle_
+            || (op.fromProducer && op.dataReadyCycle <= cycle_
                 && cycle_ - op.dataReadyCycle < cfg_.bypass_window);
         if (!bypassed)
             ++ports;
@@ -962,150 +956,145 @@ Core::computeRfPorts(const DynInst &di) const
 }
 
 void
-Core::issueInst(DynInst &di, int slot, unsigned ports)
+Core::issueInst(unsigned slot, unsigned ports)
 {
-    di.issued = true;
-    di.issueCycle = cycle_;
-    ++di.issueToken;
+    const func::ExecRecord &rec = *slots_.rec[slot];
+    const SlotOperands &ops = slots_.ops[slot];
+    SlotCold &c = cold_[slot];
+    const int16_t ev_slot = int16_t(slot);
+    const uint64_t seq = slots_.seq[slot];
+    const uint32_t token = ++slots_.issueToken[slot];
+    slots_.issueCycle[slot] = cycle_;
     ++stats_.issued;
-    masks_.ready.clear(unsigned(slot));
-    masks_.issued.set(unsigned(slot));
-    di.inReadyList = false;
-    bool first_issue = di.issueToken == 1;
+    masks_.ready.clear(slot);
+    masks_.issued.set(slot);
+    bool first_issue = token == 1;
 
-    di.rfPorts = ports;
-
-    di.seqRegAccess = seqRegAccess_ && ports == 2;
-    if (di.seqRegAccess) {
+    c.seqRegAccess = seqRegAccess_ && ports == 2;
+    if (c.seqRegAccess) {
         ++stats_.seqRegAccesses;
         ++blockedSlotsNext_;
     }
-    unsigned extra = di.seqRegAccess ? 1 : 0;
+    unsigned extra = c.seqRegAccess ? 1 : 0;
 
     // Figure 10 characterization (first issue only).
-    if (first_issue && di.numSrc == 2) {
+    if (first_issue && ops.numSrc == 2) {
         if (ports <= 1) {
             ++stats_.rfBackToBack;
-        } else if (di.src[0].readyAtInsert && di.src[1].readyAtInsert) {
+        } else if (c.readyAtInsert[0] && c.readyAtInsert[1]) {
             ++stats_.rfTwoReady;
         } else {
             ++stats_.rfNonBackToBack;
         }
     }
 
-    isa::RegIndex dest = di.rec->inst.destReg();
+    isa::RegIndex dest = rec.inst.destReg();
     bool broadcasts = dest != isa::NO_REG && !isa::isZeroReg(dest);
     uint64_t wake_cycle;
     uint64_t complete_cycle;
 
-    if (di.isLoad()) {
+    if (rec.inst.isLoad()) {
         // Determine the actual memory latency: forwarded from an
         // older overlapping store, or from the cache hierarchy.
         bool forwarded = false;
-        uint64_t lo = di.rec->effAddr;
-        uint64_t hi = lo + di.rec->inst.memSize();
-        for (size_t k = 0; k < storeSlots_.size(); ++k) {
-            const DynInst &st = window_[storeSlots_[k]];
-            if (st.seq >= di.seq)
+        uint64_t lo = rec.effAddr;
+        uint64_t hi = lo + rec.inst.memSize();
+        for (size_t k = 0; k < stores_.size(); ++k) {
+            const StoreEntry &st = stores_[k];
+            if (st.seq >= seq)
                 break;
-            uint64_t slo = st.rec->effAddr;
-            uint64_t shi = slo + st.rec->inst.memSize();
-            if (slo < hi && lo < shi) {
+            if (st.lo < hi && lo < st.hi) {
                 forwarded = true;
                 break;
             }
         }
         unsigned mem_lat = forwarded
             ? hier_.assumedLoadLatency()
-            : hier_.dataAccess(di.rec->effAddr, false);
-        di.memLatency = mem_lat;
+            : hier_.dataAccess(rec.effAddr, false);
+        c.memLatency = mem_lat;
 
         unsigned assumed_total = 1 + hier_.assumedLoadLatency();
         unsigned actual_total = 1 + mem_lat;
-        di.latency = actual_total;
+        c.latency = actual_total;
 
         wake_cycle = cycle_ + assumed_total;
         complete_cycle = cycle_ + cfg_.schedToExec() + actual_total - 1;
 
-        if (actual_total > assumed_total) {
-            di.loadMissReplay = true;
+        c.loadMissReplay = actual_total > assumed_total;
+        if (c.loadMissReplay) {
             ++stats_.loadMissReplays;
             scheduleEvent(cycle_ + assumed_total + cfg_.replay_shadow,
-                          Event{di.seq, di.issueToken, int16_t(slot),
+                          Event{seq, token, ev_slot,
                                 EventKind::LoadMissDetect});
-        } else {
-            di.loadMissReplay = false;
         }
     } else {
-        unsigned lat =
-            isa::opClassLatency(di.rec->inst.opClass()) + extra;
-        di.latency = lat;
+        unsigned lat = isa::opClassLatency(rec.inst.opClass()) + extra;
+        c.latency = lat;
+        c.loadMissReplay = false;
         wake_cycle = cycle_ + lat;
         complete_cycle = cycle_ + cfg_.schedToExec() + lat - 1;
     }
 
+    // Completion is this slot's state from here on: commit, the
+    // store-data test and squash recovery compare against it, so no
+    // event carries it.
+    slots_.completeCycle[slot] = complete_cycle;
     if (broadcasts) {
         wake_cycle = trackedWake(wake_cycle, complete_cycle);
-        di.wakeBroadcastCycle = wake_cycle;
+        slots_.wakeCycle[slot] = wake_cycle;
         scheduleEvent(wake_cycle,
-                      Event{di.seq, di.issueToken, int16_t(slot),
-                            EventKind::FastWake});
+                      Event{seq, token, ev_slot, EventKind::FastWake});
     } else {
-        di.wakeBroadcastCycle = cycle_;
+        slots_.wakeCycle[slot] = cycle_;
     }
-    scheduleEvent(complete_cycle,
-                  Event{di.seq, di.issueToken, int16_t(slot),
-                        EventKind::Complete});
 
     // Tag elimination: the scoreboard detects issues whose unwatched
     // operands were not actually data-ready.
     if (tagElim_) {
         bool premature = false;
-        for (unsigned i = 0; i < di.numSrc; ++i) {
-            const OperandState &op = di.src[i];
-            if (!op.dataReady || op.dataReadyCycle > cycle_)
+        for (unsigned i = 0; i < ops.numSrc; ++i)
+            if (ops.src[i].dataReadyCycle > cycle_) // NO_CYCLE too
                 premature = true;
-        }
+        c.tagElimMisissue = premature;
         if (premature) {
-            di.tagElimMisissue = true;
             ++stats_.tagElimMisissues;
             scheduleEvent(cycle_ + cfg_.tagelim_detect_delay + 1,
-                          Event{di.seq, di.issueToken, int16_t(slot),
+                          Event{seq, token, ev_slot,
                                 EventKind::TagElimDetect});
         }
     }
 }
 
 /** One select-candidate attempt. @return false once the width
- *  budget is spent — the caller stops scanning. */
+ *  budget is spent — the caller stops scanning. The planes already
+ *  decided the rest of eligibility: the candidate is in the window,
+ *  unissued and scheduler-ready (ready plane), and in this pass's
+ *  class (highPrio plane). It was dispatched in an earlier cycle,
+ *  since dispatch runs after select within a tick. */
 bool
-Core::selectTry(unsigned slot, int pass, unsigned &avail,
-                unsigned &ports_left, bool arbitrated)
+Core::selectTry(unsigned slot, unsigned &avail, unsigned &ports_left,
+                bool arbitrated)
 {
-    DynInst &di = window_[slot];
-
-    bool high_prio = di.selectHighPrio();
-    if ((pass == 0) != high_prio || !eligible(di))
-        return true;
-    if (di.isLoad() && !lsqAllowsLoad(di))
+    const isa::StaticInst &si = slots_.rec[slot]->inst;
+    if (si.isLoad() && !lsqAllowsLoad(slot))
         return true;
     unsigned ports = ~0u;
     if (arbitrated) {
-        ports = computeRfPorts(di);
+        ports = computeRfPorts(slots_.ops[slot]);
         if (ports > ports_left) {
             ++stats_.rfPortStalls;
             return true;
         }
         ports_left -= ports;
     }
-    if (!fu_.acquire(di.rec->inst.opClass(), cycle_)) {
+    if (!fu_.acquire(si.opClass(), cycle_)) {
         if (arbitrated)
             ports_left += ports;
         return true;
     }
     if (!arbitrated)
-        ports = computeRfPorts(di);
-    issueInst(di, int(slot), ports);
+        ports = computeRfPorts(slots_.ops[slot]);
+    issueInst(slot, ports);
     return --avail > 0;
 }
 
@@ -1132,14 +1121,13 @@ Core::select()
     // strictly later cycles), and the scan iterates a register copy
     // of each plane word. Each pass scans only its own priority
     // class: the highPrio plane (fixed at dispatch) filters at the
-    // word level, so pass 0 never loads a low-priority DynInst and
+    // word level, so pass 0 never visits a low-priority slot and
     // vice versa.
     for (int pass = 0; pass < 2 && avail > 0; ++pass)
         scanSetBitsFromAnd(
             masks_.ready.words(), masks_.highPrio.words(), pass != 0,
             cfg_.ruu_size, head_, [&](unsigned slot) {
-                return selectTry(slot, pass, avail, ports_left,
-                                 arbitrated);
+                return selectTry(slot, avail, ports_left, arbitrated);
             });
 }
 
@@ -1147,10 +1135,12 @@ Core::select()
 // Dispatch
 // --------------------------------------------------------------------
 
-void
-Core::setupOperands(DynInst &di, int slot)
+bool
+Core::setupOperands(unsigned slot)
 {
-    const isa::StaticInst &si = di.rec->inst;
+    const isa::StaticInst &si = slots_.rec[slot]->inst;
+    SlotOperands &ops = slots_.ops[slot];
+    SlotCold &c = cold_[slot];
 
     isa::SrcList raw = si.srcRegs();
     isa::SrcList sched;
@@ -1159,12 +1149,13 @@ Core::setupOperands(DynInst &di, int slot)
         // is handled by the store scheduler at commit (Section 2.3).
         sched.push(raw.regs[1]);
         // Track the data producer to gate store-to-load forwarding.
+        c.storeDataProducerSeq = NO_SEQ;
         isa::RegIndex data_reg = raw.regs[0];
         if (!isa::isZeroReg(data_reg)) {
             ProducerRef pr = lastProducer_[data_reg];
             if (pr.seq != NO_SEQ) {
-                di.storeDataProducerSeq = pr.seq;
-                di.storeDataProducerSlot = pr.slot;
+                c.storeDataProducerSeq = pr.seq;
+                c.storeDataProducerSlot = pr.slot;
             }
         }
         if (isa::isZeroReg(sched.regs[0]))
@@ -1173,90 +1164,92 @@ Core::setupOperands(DynInst &di, int slot)
         sched = si.uniqueSrcRegs();
     }
 
-    di.numSrc = sched.count;
+    ops.numSrc = uint8_t(sched.count);
+    ops.requireDataReady = false;
     unsigned pending = 0;
-    for (unsigned i = 0; i < di.numSrc; ++i) {
-        OperandState &op = di.src[i];
-        op = OperandState{};
-        op.reg = sched.regs[i];
-        op.leftField = raw.count > 0 && sched.regs[i] == raw.regs[0];
+    for (unsigned i = 0; i < sched.count; ++i) {
+        SrcOperand &op = ops.src[i];
+        const isa::RegIndex reg = sched.regs[i];
+        c.leftField[i] = raw.count > 0 && reg == raw.regs[0];
 
-        ProducerRef pr = lastProducer_[op.reg];
-        bool ready_now = true;
-        if (pr.seq != NO_SEQ) {
-            DynInst &p = window_[pr.slot];
-            HPA_CHECK_CTX(p.seq == pr.seq && p.inWindow,
+        ProducerRef pr = lastProducer_[reg];
+        c.producerSeq[i] = pr.seq;
+        op.fromProducer = pr.seq != NO_SEQ;
+        // Architectural values read from the register file carry the
+        // insert cycle and are excluded from bypass capture in
+        // computeRfPorts().
+        uint64_t ready_cycle = cycle_;
+        if (op.fromProducer) {
+            const unsigned p = unsigned(pr.slot);
+            HPA_CHECK_CTX(slots_.seq[p] == pr.seq,
                           "stale producer map entry for reg "
-                              + std::to_string(unsigned(op.reg))
+                              + std::to_string(unsigned(reg))
                               + ": slot " + std::to_string(pr.slot)
                               + " no longer holds seq "
                               + std::to_string(pr.seq),
                           invariantContext());
             // File the dependence in the producer's dependency-
             // matrix row for operand plane i.
-            masks_.dep[i].set(unsigned(pr.slot), unsigned(slot));
-            op.producerSeq = pr.seq;
-            ready_now = p.issued
-                && p.wakeBroadcastCycle != NO_CYCLE
-                && p.wakeBroadcastCycle <= cycle_;
-            if (ready_now)
-                op.wakeProducerSeq = pr.seq;
+            masks_.dep[i].set(p, slot);
+            // The value already broadcast (the wake cycle is NO_CYCLE
+            // while the producer is unissued): record its true
+            // arrival time, which may still be within a multi-cycle
+            // bypass window.
+            ready_cycle = slots_.wakeCycle[p];
         }
-
-        if (ready_now) {
-            op.ready = true;
-            op.dataReady = true;
-            op.readyAtInsert = true;
-            op.wakeCycle = cycle_;
-            // Record the true arrival time when the value came off an
-            // in-flight producer's broadcast (it may still be within
-            // a multi-cycle bypass window); architectural values read
-            // from the register file carry the insert cycle and are
-            // excluded from bypass capture in computeRfPorts().
-            op.dataReadyCycle = op.wakeProducerSeq != NO_SEQ
-                ? window_[pr.slot].wakeBroadcastCycle : cycle_;
-        } else {
+        const bool ready_now = ready_cycle <= cycle_;
+        op.ready = ready_now;
+        op.dataReadyCycle = ready_now ? ready_cycle : NO_CYCLE;
+        op.slowSide = false;
+        op.watched = true;
+        op.prefetched = false;
+        c.readyAtInsert[i] = ready_now;
+        if (!ready_now)
             ++pending;
-        }
     }
 
-    di.twoPending = di.numSrc == 2 && pending == 2;
+    const bool two_pending = sched.count == 2 && pending == 2;
+    ops.lapOpen = two_pending;
 
     // Figure 4: ready operands of 2-source instructions at insert.
-    if (di.numSrc == 2)
+    if (sched.count == 2)
         stats_.readyAtInsert.sample(2 - pending);
 
-    if (di.twoPending) {
-        di.predRightLast = lap_.predictRightLast(di.rec->pc);
-        di.shadowPredBits = lapMon_.snapshot(di.rec->pc);
+    if (two_pending) {
+        const uint64_t pc = slots_.rec[slot]->pc;
+        c.predRightLast = lap_.predictRightLast(pc);
+        c.shadowPredBits = lapMon_.snapshot(pc);
+        c.wakesSeen = 0;
     }
+    return two_pending;
 }
 
 void
-Core::placeOperands(DynInst &di) const
+Core::placeOperands(unsigned slot, bool two_pending)
 {
+    SlotOperands &ops = slots_.ops[slot];
+    const SlotCold &c = cold_[slot];
     switch (cfg_.wakeup) {
       case WakeupModel::Sequential:
       case WakeupModel::SequentialNoPred: {
         // Wire the side predicted to arrive last to the fast bus
         // (statically the right-hand one without a predictor); a
         // single pending operand sits on the fast side.
-        if (!di.twoPending)
+        if (!two_pending)
             break;
         bool right_fast = cfg_.wakeup == WakeupModel::SequentialNoPred
-            || di.predRightLast;
-        for (unsigned i = 0; i < di.numSrc; ++i)
-            di.src[i].slowSide = di.src[i].leftField == right_fast;
+            || c.predRightLast;
+        for (unsigned i = 0; i < ops.numSrc; ++i)
+            ops.src[i].slowSide = c.leftField[i] == right_fast;
         break;
       }
       case WakeupModel::TagElimination:
         // Only the predicted-last operand (or the one pending
         // operand) keeps a comparator on the bus.
-        for (unsigned i = 0; i < di.numSrc; ++i) {
-            OperandState &op = di.src[i];
-            op.watched = di.twoPending
-                ? op.leftField != di.predRightLast : !op.readyAtInsert;
-        }
+        for (unsigned i = 0; i < ops.numSrc; ++i)
+            ops.src[i].watched = two_pending
+                ? c.leftField[i] != c.predRightLast
+                : !c.readyAtInsert[i];
         break;
       case WakeupModel::Conventional:
       case WakeupModel::LoadDelayTracking:
@@ -1265,16 +1258,18 @@ Core::placeOperands(DynInst &di) const
 }
 
 void
-Core::prefetchOperands(DynInst &di, unsigned &left)
+Core::prefetchOperands(unsigned slot, unsigned &left)
 {
     if (prefetchBandwidth_ == 0)
         return;
     // Only producer-less operands are eligible: a prefetched value can
     // never be invalidated by replay repair, so the buffer stays
     // trivially coherent.
-    for (unsigned i = 0; i < di.numSrc; ++i) {
-        OperandState &op = di.src[i];
-        if (!op.readyAtInsert || op.wakeProducerSeq != NO_SEQ)
+    SlotOperands &ops = slots_.ops[slot];
+    const SlotCold &c = cold_[slot];
+    for (unsigned i = 0; i < ops.numSrc; ++i) {
+        SrcOperand &op = ops.src[i];
+        if (!c.readyAtInsert[i] || op.fromProducer)
             continue;
         if (left > 0) {
             --left;
@@ -1328,42 +1323,47 @@ Core::dispatch()
             rename_ports -= lookups;
         }
 
-        unsigned slot = tail_;
-        DynInst &di = window_[slot];
-        di = DynInst{};
-        // Slot reuse: retire the previous tenant's planes (its
-        // occupancy/ready/issued bits were cleared on its way out;
-        // its dependency rows were left stale at commit).
+        // Slot reuse: the previous tenant left its occupancy, ready
+        // and issued bits clear on its way out, but its dependency
+        // rows stale (commit skips the row clear). Only the fields
+        // the new tenant reads are written.
+        const unsigned slot = tail_;
+        const func::ExecRecord &rec = *fi.rec;
+        const uint64_t seq = nextSeq_++;
         masks_.clearProducer(slot);
-        masks_.ready.clear(slot);
-        masks_.issued.clear(slot);
         masks_.occupancy.set(slot);
+        slots_.rec[slot] = fi.rec;
+        slots_.seq[slot] = seq;
+        slots_.issueToken[slot] = 0;
+        slots_.completeCycle[slot] = NO_CYCLE;
+        slots_.wakeCycle[slot] = NO_CYCLE;
+        SlotCold &c = cold_[slot];
+        c.fetchCycle = fi.fetchCycle;
+        c.dispatchCycle = cycle_;
+        if (fi.mispredicted)
+            stalledBranchSlot_ = int(slot);
 
-        di.rec = fi.rec;
-        di.seq = nextSeq_++;
-        di.inWindow = true;
-        di.fetchCycle = fi.fetchCycle;
-        di.dispatchCycle = cycle_;
-        di.mispredictedBranch = fi.mispredicted;
-
-        // Cache the fixed pass-0 select class in the bit plane.
-        if (di.selectHighPrio())
+        // Cache the fixed pass-0 select class (Section 2.1: loads
+        // and branches first) in the bit plane.
+        if (rec.inst.isLoad() || rec.inst.isControl())
             masks_.highPrio.set(slot);
         else
             masks_.highPrio.clear(slot);
 
-        setupOperands(di, int(slot));
-        placeOperands(di);
-        prefetchOperands(di, prefetch_left);
+        const bool two_pending = setupOperands(slot);
+        placeOperands(slot, two_pending);
+        prefetchOperands(slot, prefetch_left);
         updateReadySlot(slot);
-        if (di.isStore())
-            storeSlots_.push_back(slot);
+        if (rec.inst.isStore())
+            stores_.push_back(StoreEntry{
+                seq, rec.effAddr, rec.effAddr + rec.inst.memSize(),
+                slot});
 
-        isa::RegIndex dest = di.rec->inst.destReg();
+        isa::RegIndex dest = rec.inst.destReg();
         if (dest != isa::NO_REG && !isa::isZeroReg(dest))
-            lastProducer_[dest] = ProducerRef{di.seq, int(slot)};
+            lastProducer_[dest] = ProducerRef{seq, int(slot)};
 
-        if (di.rec->inst.isMemRef())
+        if (rec.inst.isMemRef())
             ++lsqCount_;
 
         tail_ = (tail_ + 1) % cfg_.ruu_size;
@@ -1387,7 +1387,23 @@ Core::fetch()
 {
     if (sourceDone_ && !lookahead_)
         return;
-    if (fetchStalledOnBranch_ || cycle_ < fetchResumeCycle_)
+    if (fetchStalledOnBranch_) {
+        // Resume once the mispredicted branch completes (its slot's
+        // completeCycle has been reached; it is known from dispatch
+        // on): the redirect costs at least min_branch_penalty cycles
+        // from the branch's fetch.
+        if (stalledBranchSlot_ < 0)
+            return;
+        const unsigned b = unsigned(stalledBranchSlot_);
+        const uint64_t complete = slots_.completeCycle[b];
+        if (complete > cycle_)
+            return;
+        fetchStalledOnBranch_ = false;
+        stalledBranchSlot_ = -1;
+        fetchResumeCycle_ = std::max(
+            complete + 1, cold_[b].fetchCycle + cfg_.min_branch_penalty);
+    }
+    if (cycle_ < fetchResumeCycle_)
         return;
 
     unsigned budget = cfg_.width;

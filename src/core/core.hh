@@ -14,6 +14,13 @@
  * scheme into each operand's slowSide/watched bits, which are all
  * later stages consult (see DESIGN.md "Policy API").
  *
+ * Per-slot state is split by access frequency: the hot fields are
+ * structure-of-arrays beside the bit planes (issue_window.hh), the
+ * rest is one cold record per slot (slot_record.hh). Completion is
+ * slot state: an instruction is complete once the cycle passes the
+ * completeCycle set when it issued, so only wakeups and recovery
+ * detections travel through the event calendar.
+ *
  * Timing conventions (cycle numbers are select-eligibility times):
  *  - Wakeup and select are atomic: an instruction woken at cycle t can
  *    be selected at cycle t.
@@ -40,12 +47,12 @@
 #include "bpred/bpred.hh"
 #include "core/config.hh"
 #include "core/containers.hh"
-#include "core/dyn_inst.hh"
 #include "core/event_queue.hh"
 #include "core/fu_pool.hh"
 #include "core/inst_source.hh"
 #include "core/issue_window.hh"
 #include "core/last_arrival.hh"
+#include "core/slot_record.hh"
 #include "mem/hierarchy.hh"
 #include "sim/error.hh"
 #include "stats/stats.hh"
@@ -182,7 +189,8 @@ class Core
      */
     void
     setCommitListener(
-        std::function<void(const DynInst &, uint64_t commit_cycle)> fn)
+        std::function<void(const CommittedInst &, uint64_t commit_cycle)>
+            fn)
     {
         commitListener_ = std::move(fn);
     }
@@ -197,7 +205,8 @@ class Core
         return masks_.ready.toVector(head_);
     }
 
-    /** Snapshot of the issued-but-incomplete set, oldest first. */
+    /** Snapshot of the issued set (issued, not yet committed or
+     *  squashed), oldest first. */
     std::vector<unsigned>
     issuedListSnapshot() const
     {
@@ -208,24 +217,24 @@ class Core
     const IssueWindowMasks &issueMasks() const { return masks_; }
 
     /**
-     * Recompute scheduler readiness by brute force over the whole
-     * window and check it matches the incrementally maintained
-     * ready plane (same members, oldest-first order), that the
-     * store/issued side sets match the window too, and that every
-     * in-window producer -> consumer dependence has its dependency-
-     * matrix bit. Used by the fuzz tests; O(window), never called
-     * on the hot path.
+     * Check the issue window's planes against a brute-force
+     * re-derivation from the slot state: the ready plane against
+     * the readiness predicate (same members, oldest-first order),
+     * the issued and occupancy planes and the store ring against
+     * the window, and the dependency matrix for every in-window
+     * producer -> consumer bit. Used by the fuzz tests; O(window),
+     * never called on the hot path.
      */
-    bool readyListConsistent() const;
+    bool planesConsistent() const;
 
     /**
-     * Like readyListConsistent(), but on mismatch throws
-     * hpa::InvariantViolation naming the diverged list and carrying
+     * Like planesConsistent(), but on mismatch throws
+     * hpa::InvariantViolation naming the diverged plane and carrying
      * a pipeline-state dump. This is the periodic release-mode
      * cross-validation pass run by tick() every
      * CoreConfig::check_interval cycles.
      */
-    void crossValidate() const;
+    void crossValidatePlanes() const;
 
     /**
      * Pipeview-style snapshot of the pipeline state: cycle, commit
@@ -278,13 +287,13 @@ class Core
     {
         FastWake,       ///< producer tag on the fast wakeup bus
         SlowWake,       ///< re-broadcast on the slow bus (seq wakeup)
-        Complete,       ///< execution finished (value available)
         LoadMissDetect, ///< latency misprediction detected
         TagElimDetect,  ///< scoreboard flags a premature issue
     };
 
-    /** 16 bytes — ~7 events per simulated cycle flow through the
-     *  calendar, so the packed layout is worth the int16 slot. */
+    /** 16 bytes — about two events per simulated cycle flow through
+     *  the calendar (EventCount.PinnedOnFourWideGzip), so the packed
+     *  layout is worth the int16 slot. */
     struct Event
     {
         uint64_t seq;
@@ -302,20 +311,16 @@ class Core
     };
 
     /** Same-cycle delivery order of coincident events: detections
-     *  (recovery) first, completions second, wakeups last. Events of
-     *  equal rank process in schedule order. */
-    static int
+     *  (recovery) first, wakeups second. Events of equal rank process
+     *  in schedule order. A detection at cycle c therefore still sees
+     *  an instruction completing at c as incomplete (completeCycle
+     *  >= c), exactly as when completion was a middle-rank event. */
+    static unsigned
     eventRank(EventKind k)
     {
-        switch (k) {
-          case EventKind::LoadMissDetect:
-          case EventKind::TagElimDetect:
-            return 0;
-          case EventKind::Complete:
-            return 1;
-          default:
-            return 2;
-        }
+        return k == EventKind::LoadMissDetect
+                || k == EventKind::TagElimDetect
+            ? 0 : 1;
     }
 
     // --- Pipeline phases (in intra-cycle order). ---
@@ -326,67 +331,65 @@ class Core
     void fetch();
 
     // --- Helpers. ---
-    DynInst &inst(int slot) { return window_[slot]; }
     bool windowFull() const { return windowCount_ == cfg_.ruu_size; }
 
     /** SimContext for a failure raised now: cycle, commit progress
      *  and the pipeline-state dump. */
     hpa::SimContext invariantContext() const;
-    /** Re-derive the ready/issued/store sets and the dependency
-     *  matrix from the window and describe the first divergence
-     *  (empty string = consistent). */
-    std::string sideListDivergence() const;
+    /** Re-derive the ready/issued/occupancy planes, the store ring
+     *  and the dependency matrix from the slot state and describe the
+     *  first divergence (empty string = consistent). */
+    std::string planeDivergence() const;
     /** Watchdog / deadline / cross-check / fault-injection hooks;
      *  everything rare-but-per-cycle, kept out of tick()'s hot
      *  path body. */
     void tickGuards();
 
-    void setupOperands(DynInst &di, int slot);
+    /** Fill the new tenant's operands and dependency bits.
+     *  @return two operands were pending at insert. */
+    bool setupOperands(unsigned slot);
     void updateReadySlot(unsigned slot);
-    bool eligible(const DynInst &di) const;
-    bool lsqAllowsLoad(const DynInst &load) const;
-    unsigned computeRfPorts(const DynInst &di) const;
+    bool lsqAllowsLoad(unsigned slot) const;
+    unsigned computeRfPorts(const SlotOperands &ops) const;
     /** One select-candidate attempt; issues on success.
      *  @return false when the width budget is spent. */
-    bool selectTry(unsigned slot, int pass, unsigned &avail,
-                   unsigned &ports_left, bool arbitrated);
+    bool selectTry(unsigned slot, unsigned &avail, unsigned &ports_left,
+                   bool arbitrated);
     /** @p ports is the candidate's computeRfPorts() value, computed
      *  once by selectTry (the arbitrated path already needs it). */
-    void issueInst(DynInst &di, int slot, unsigned ports);
+    void issueInst(unsigned slot, unsigned ports);
     void scheduleEvent(uint64_t cycle, Event ev);
     void handleFastWake(const Event &ev);
     void handleSlowWake(const Event &ev);
-    void handleComplete(const Event &ev);
     void handleLoadMiss(const Event &ev);
     void handleTagElim(const Event &ev);
-    bool wakeOperand(DynInst &ci, OperandState &op, uint64_t now,
-                     uint64_t producer_seq, bool slow_bus);
-    void noteSecondWake(DynInst &ci, uint64_t now);
+    bool wakeOperand(unsigned slot, unsigned k, bool slow_bus);
+    void noteSecondWake(unsigned slot);
 
     /** Model readiness predicate: no watched operand lacks its tag
      *  match, and after a tag-elimination mis-issue every value is
-     *  truly available. Excludes per-cycle issue conditions
-     *  (dispatch delay, FUs, LSQ, ports) checked at select. Pure
-     *  function of the DynInst, so the periodic cross-validation
-     *  pass can re-derive it from the window. Every wakeup scheme
+     *  truly available. Excludes the per-cycle issue conditions (FUs,
+     *  LSQ, ports) checked at select. Pure function of the hot
+     *  operand record, so the periodic cross-validation pass can
+     *  re-derive the ready plane from the window. Every wakeup scheme
      *  but tag elimination watches all operands and never sets
-     *  requireDataReady, so there it is allSrcReady(). */
-    static bool schedReady(const DynInst &di);
+     *  requireDataReady, so there it is "every tag matched". */
+    static bool schedReady(const SlotOperands &ops);
     /** Write the wakeup scheme into the operands' slowSide/watched
      *  bits at dispatch. */
-    void placeOperands(DynInst &di) const;
+    void placeOperands(unsigned slot, bool two_pending);
     /** Operand prefetch buffer: claim per-cycle prefetch bandwidth
      *  (@p left ports remain this cycle) for the operands already in
      *  the architectural register file at dispatch. */
-    void prefetchOperands(DynInst &di, unsigned &left);
+    void prefetchOperands(unsigned slot, unsigned &left);
     /** Load-delay tracking: a @p wake broadcast the delay counters
      *  cannot represent is deferred to the @p complete broadcast. */
     uint64_t trackedWake(uint64_t wake, uint64_t complete);
 
     void squashWindow(uint64_t first_cycle, uint64_t last_cycle,
                       uint64_t trigger_seq, bool selective);
-    void repairConsumersOf(int slot, uint64_t producer_seq);
-    void commitFormatStats(const DynInst &di);
+    void repairConsumersOf(unsigned slot);
+    void commitFormatStats(const isa::StaticInst &si);
 
     CoreConfig cfg_;
     InstSource &source_;
@@ -420,8 +423,10 @@ class Core
     uint64_t cycle_ = 0;
     uint64_t nextSeq_ = 0;
 
-    // Window: ring buffer of slots, oldest at head_.
-    std::vector<DynInst> window_;
+    // Window: ring buffer of slots, oldest at head_. Hot fields are
+    // per-field arrays (slots_), the rest one cold record per slot.
+    WindowSlots slots_;
+    std::vector<SlotCold> cold_;
     unsigned head_ = 0;
     unsigned tail_ = 0;
     unsigned windowCount_ = 0;
@@ -434,9 +439,18 @@ class Core
     // head_ equals seq (= program) order, the window being a FIFO,
     // so every scan preserves oldest-first priority.
 
-    /** In-window stores in program order (LSQ overlap searches);
+    /** An in-window store as the LSQ overlap searches see it. */
+    struct StoreEntry
+    {
+        uint64_t seq;
+        uint64_t lo; ///< first byte written
+        uint64_t hi; ///< one past the last byte written
+        unsigned slot;
+    };
+    /** In-window stores in program order, caching seq and address
+     *  range so overlap scans read no slot state or ExecRecord;
      *  occupancy bounded by the window size. */
-    BoundedRing<unsigned> storeSlots_;
+    BoundedRing<StoreEntry> stores_;
 
     /** Ready/issued/priority bit planes, the dependency matrix and
      *  the slow-bus plane (issue_window.hh). */
@@ -461,13 +475,15 @@ class Core
     /** Rank-split calendar: one vector per (cycle, delivery rank),
      *  rank fixed at schedule time (eventRank), so processEvents()
      *  drains each rank in one compare-free pass. */
-    CalendarQueue<Event, 3> events_;
+    CalendarQueue<Event, 2> events_;
 
     // Front end; occupancy bounded by front_end_depth x width.
     BoundedRing<FetchedInst> fetchQueue_;
     uint64_t fetchResumeCycle_ = 0;
+    /** Fetch waits for a mispredicted branch to complete; its window
+     *  slot is known once it dispatches (-1 until then). */
     bool fetchStalledOnBranch_ = false;
-    uint64_t stalledBranchSeqTag_ = NO_SEQ; // pc tag for bookkeeping
+    int stalledBranchSlot_ = -1;
     bool sourceDone_ = false;
     const func::ExecRecord *lookahead_ = nullptr;
 
@@ -499,7 +515,7 @@ class Core
     uint64_t corruptAt_ = NO_CYCLE;
     uint64_t blockCommitAfter_ = NO_CYCLE;
 
-    std::function<void(const DynInst &, uint64_t)> commitListener_;
+    std::function<void(const CommittedInst &, uint64_t)> commitListener_;
 };
 
 } // namespace hpa::core

@@ -1,18 +1,20 @@
 /**
  * @file
- * SoA bitmask state of the issue window: the scheduler's only
- * wakeup/select index. The per-entry AoS DynInst array stays the
- * architectural record; this header holds the structure-of-arrays
- * index planes the hot wakeup/select loops actually walk:
+ * Hot per-slot state of the issue window: the scheduler's bit planes
+ * and the structure-of-arrays slot fields the pipeline phases read
+ * every cycle. The per-slot cold record (timestamps, latencies,
+ * characterization bookkeeping) lives in slot_record.hh.
  *
  *  - occupancy / ready / issued / highPrio: one bit per window slot.
- *    The ready plane holds the unissued, scheduler-ready entries
- *    (bit set <=> DynInst::inReadyList); select is a tzcnt scan of
- *    it in age order (containers.hh scan helpers). The issued plane
- *    is the replay-shadow candidate set of squash recovery. highPrio
- *    caches the loads-and-branches-first select class, fixed at
- *    dispatch, so each select pass scans only its own class
- *    (ready & highPrio, then ready & ~highPrio).
+ *    The ready plane is the one record of which unissued entries are
+ *    scheduler-ready; select is a tzcnt scan of it in age order
+ *    (containers.hh scan helpers). The issued plane holds every
+ *    issued entry until it commits or is squashed; the replay-shadow
+ *    candidates of squash recovery are its members whose
+ *    completeCycle has not passed. highPrio caches the
+ *    loads-and-branches-first select class, fixed at dispatch, so
+ *    each select pass scans only its own class (ready & highPrio,
+ *    then ready & ~highPrio).
  *
  *  - dep[2]: the dependency matrix, one producer -> consumers
  *    bit-vector per window slot and source-operand plane. Bit s of
@@ -29,24 +31,34 @@
  *    cycle later ORs exactly those bits back through the ready-plane
  *    update instead of re-walking every consumer.
  *
+ *  - WindowSlots: seq, issue token, issue/complete/wake-broadcast
+ *    cycles and the record pointer, one array per field, plus the
+ *    hot per-slot operand record (SlotOperands) that wakeup, repair,
+ *    the readiness predicate and read-port counting touch.
+ *    Completion is slot state, not an event: completeCycle is set
+ *    at every (re)issue, and an entry is complete once the cycle has
+ *    passed it.
+ *
  * Lifetime invariant (why no seq-staleness checks are needed on the
  * wake path): commit is in order and a consumer is strictly
  * younger than its producer, so while a producer is in the window
  * every one of its dependency bits still names the consumer it was
- * set for. A producer's rows are cleared when its slot is
- * re-dispatched (clearProducer); the stale rows a committed slot
- * leaves behind are harmless in between, because only an in-window
- * producer's rows are ever scanned, and a consumer bit cannot go
- * stale while its producer is still in the window (the strictly
- * younger consumer commits later).
+ * set for — and that consumer's operand names exactly this producer.
+ * A producer's rows are cleared when its slot is re-dispatched
+ * (clearProducer); the stale rows a committed slot leaves behind are
+ * harmless in between, because only an in-window producer's rows are
+ * ever scanned, and a consumer bit cannot go stale while its
+ * producer is still in the window (the strictly younger consumer
+ * commits later).
  *
- * The oracle for these planes is Core::sideListDivergence(): it
- * re-derives the ready/issued sets by brute force from the window
- * and checks that every in-window producer -> consumer dependence
- * has its dep bit (ReadyMaskFuzz and --check-interval run it).
+ * The oracle for these planes is Core::planeDivergence(): it
+ * re-derives the ready/issued/occupancy sets and the store ring by
+ * brute force from the slot state and checks that every in-window
+ * producer -> consumer dependence has its dep bit (ReadyMaskFuzz and
+ * --check-interval run it).
  *
- * All planes live in flat vectors sized once at reset(); steady-state
- * operation is allocation-free (test_hotpath_alloc).
+ * Everything lives in flat vectors sized once at reset();
+ * steady-state operation is allocation-free (test_hotpath_alloc).
  */
 
 #ifndef HPA_CORE_ISSUE_WINDOW_HH
@@ -59,8 +71,20 @@
 
 #include "core/containers.hh"
 
+namespace hpa::func
+{
+struct ExecRecord;
+}
+
 namespace hpa::core
 {
+
+/** Invalid cycle sentinel. */
+constexpr uint64_t NO_CYCLE = ~0ull;
+/** Invalid sequence number sentinel; also the seq of an empty or
+ *  committed window slot, so seq[slot] == s means s is in the
+ *  window at that slot. */
+constexpr uint64_t NO_SEQ = ~0ull;
 
 /** One bit per window slot, with age-ordered scans. */
 class SlotMask
@@ -193,7 +217,7 @@ struct IssueWindowMasks
 {
     SlotMask occupancy; ///< in-window slots (dispatch .. commit)
     SlotMask ready;     ///< unissued, scheduler-ready (select scan)
-    SlotMask issued;    ///< issued-but-incomplete (replay candidates)
+    SlotMask issued;    ///< issued, until commit or squash
     SlotMask highPrio;  ///< loads/branches (pass-0 select class)
     DepMatrix dep[2];   ///< producer -> consumers, per operand plane
     DepMatrix slowPend; ///< slow-bus re-delivery plane (seq wakeup)
@@ -218,6 +242,89 @@ struct IssueWindowMasks
         dep[0].clearRow(slot);
         dep[1].clearRow(slot);
         slowPend.clearRow(slot);
+    }
+};
+
+/** Wakeup state of one scheduling source operand. */
+struct SrcOperand
+{
+    /** Cycle the value is available (scoreboard view): the
+     *  producer's broadcast, or the insert cycle for a register-file
+     *  value. NO_CYCLE until then. */
+    uint64_t dataReadyCycle = NO_CYCLE;
+    /** Tag match observed (per-model bus timing applied); implies
+     *  the value is available. */
+    bool ready = false;
+    /** Sequential wakeup: the operand listens to the slow bus. */
+    bool slowSide = false;
+    /** Tag elimination: the operand has a comparator on the bus. */
+    bool watched = true;
+    /** Operand prefetch buffer holds the value (PrefetchBuffer RF
+     *  policy): costs no issue-time read port. Only set for operands
+     *  with no in-flight producer, so replay repair can never
+     *  invalidate a prefetched value. */
+    bool prefetched = false;
+    /** Named an in-flight producer at insert: the value arrives on a
+     *  broadcast (bypass-capturable), not from the register file. */
+    bool fromProducer = false;
+
+    bool dataReady() const { return dataReadyCycle != NO_CYCLE; }
+};
+
+/** The hot per-slot record: both scheduling operands and the
+ *  readiness flags. Wakeup, replay repair, the readiness predicate
+ *  and read-port counting read nothing else of a consumer. */
+struct SlotOperands
+{
+    SrcOperand src[2];
+    /** Scheduling operands (unique, non-zero source registers). */
+    uint8_t numSrc = 0;
+    /** Tag elimination: after a mis-schedule the scoreboard gates
+     *  re-issue on full operand availability. */
+    bool requireDataReady = false;
+    /** Two operands were pending at insert and the second data
+     *  wakeup has not arrived yet: the last-arrival bookkeeping
+     *  (SlotCold) is still open. */
+    bool lapOpen = false;
+};
+// The stride select, wakeup and repair walk; a new field must earn
+// its bytes here or go to the cold record (slot_record.hh).
+static_assert(sizeof(SlotOperands) == 40,
+              "hot per-slot operand record grew");
+
+/** Hot per-slot fields, one array per field, sized to the window. */
+struct WindowSlots
+{
+    /** Committed-path record; points into the instruction source's
+     *  stable storage (see InstSource's lifetime contract). */
+    std::vector<const func::ExecRecord *> rec;
+    /** NO_SEQ while the slot is empty (never dispatched or
+     *  committed). */
+    std::vector<uint64_t> seq;
+    /** Incremented on every (re)issue and squash; cancels stale
+     *  events. */
+    std::vector<uint32_t> issueToken;
+    /** Cycle of the latest issue (valid while issued). */
+    std::vector<uint64_t> issueCycle;
+    /** Cycle the value is bypassed (execution done), set at every
+     *  issue; NO_CYCLE while unissued. */
+    std::vector<uint64_t> completeCycle;
+    /** Cycle the destination tag broadcasts on the fast bus (the
+     *  issue cycle when nothing broadcasts); NO_CYCLE while
+     *  unissued. */
+    std::vector<uint64_t> wakeCycle;
+    std::vector<SlotOperands> ops;
+
+    void
+    reset(unsigned slots)
+    {
+        rec.assign(slots, nullptr);
+        seq.assign(slots, NO_SEQ);
+        issueToken.assign(slots, 0);
+        issueCycle.assign(slots, NO_CYCLE);
+        completeCycle.assign(slots, NO_CYCLE);
+        wakeCycle.assign(slots, NO_CYCLE);
+        ops.assign(slots, SlotOperands{});
     }
 };
 

@@ -714,7 +714,7 @@ TEST(CommitListener, ObservesEveryCommitInOrder)
     uint64_t last_seq = 0;
     bool ordered = true;
     s.core().setCommitListener(
-        [&](const core::DynInst &di, uint64_t commit) {
+        [&](const core::CommittedInst &di, uint64_t commit) {
             if (count > 0 && di.seq != last_seq + 1)
                 ordered = false;
             last_seq = di.seq;
@@ -748,7 +748,7 @@ TEST(EventCount, PinnedOnFourWideGzip)
     const core::Core &c = res[0].sim->core();
     EXPECT_EQ(c.stats().committed.value(), 50000u);
     EXPECT_EQ(c.cycle(), 24215u);
-    EXPECT_EQ(c.eventsScheduled(), 89227u);
+    EXPECT_EQ(c.eventsScheduled(), 38025u);
 }
 
 // --- Pipeline-state dump. ---

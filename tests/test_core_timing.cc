@@ -17,7 +17,7 @@ namespace
 
 using namespace hpa;
 using core::CoreConfig;
-using core::DynInst;
+using core::CommittedInst;
 
 struct Stamp
 {
@@ -35,7 +35,7 @@ trace(const std::string &src, const CoreConfig &cfg)
     sim::Simulation s(prog, cfg);
     std::vector<Stamp> out;
     s.core().setCommitListener(
-        [&out](const DynInst &di, uint64_t commit) {
+        [&out](const CommittedInst &di, uint64_t commit) {
             out.push_back(Stamp{di.seq, di.rec->pc, di.fetchCycle,
                                 di.dispatchCycle, di.issueCycle,
                                 di.completeCycle, commit,
@@ -231,7 +231,7 @@ TEST(Occupancy, CommitWidthBounded)
     core::SyntheticSource src(sp);
     core::Core c(core::fourWideConfig(), src);
     std::map<uint64_t, unsigned> per_cycle;
-    c.setCommitListener([&](const DynInst &, uint64_t commit) {
+    c.setCommitListener([&](const CommittedInst &, uint64_t commit) {
         ++per_cycle[commit];
     });
     c.run(2000000);
@@ -254,7 +254,7 @@ TEST(Occupancy, WindowAndLsqNeverExceedConfiguredSize)
     // Sweep-line over [dispatch, commit) intervals.
     std::vector<std::pair<uint64_t, int>> events;     // window
     std::vector<std::pair<uint64_t, int>> mem_events; // lsq
-    c.setCommitListener([&](const DynInst &di, uint64_t commit) {
+    c.setCommitListener([&](const CommittedInst &di, uint64_t commit) {
         events.push_back({di.dispatchCycle, +1});
         events.push_back({commit, -1});
         if (di.rec->inst.isMemRef()) {
@@ -307,7 +307,7 @@ TEST(PolicyTiming, DltSaturatesDividerWakeupToCompletion)
     sim::Simulation sc(prog, conv);
     std::vector<Stamp> tc;
     sc.core().setCommitListener(
-        [&tc](const DynInst &di, uint64_t commit) {
+        [&tc](const CommittedInst &di, uint64_t commit) {
             tc.push_back(Stamp{di.seq, di.rec->pc, di.fetchCycle,
                                di.dispatchCycle, di.issueCycle,
                                di.completeCycle, commit,
@@ -321,7 +321,7 @@ TEST(PolicyTiming, DltSaturatesDividerWakeupToCompletion)
     sim::Simulation sd(prog, dlt);
     std::vector<Stamp> td;
     sd.core().setCommitListener(
-        [&td](const DynInst &di, uint64_t commit) {
+        [&td](const CommittedInst &di, uint64_t commit) {
             td.push_back(Stamp{di.seq, di.rec->pc, di.fetchCycle,
                                di.dispatchCycle, di.issueCycle,
                                di.completeCycle, commit,

@@ -252,7 +252,7 @@ TEST(CoreReadyListFuzz, IncrementalListsMatchBruteForceEveryCycle)
             uint64_t guard = 0;
             while (!c.done() && guard++ < 200000) {
                 c.tick();
-                ASSERT_TRUE(c.readyListConsistent())
+                ASSERT_TRUE(c.planesConsistent())
                     << mix.tag << " seed " << seed << " cycle "
                     << c.cycle();
             }
@@ -385,7 +385,7 @@ TEST(CoreEventOverflowFuzz, FarFutureLatenciesKeepListsConsistent)
         uint64_t guard = 0;
         while (!c.done() && guard++ < 2000000) {
             c.tick();
-            ASSERT_TRUE(c.readyListConsistent())
+            ASSERT_TRUE(c.planesConsistent())
                 << "seed " << seed << " cycle " << c.cycle();
         }
         ASSERT_TRUE(c.done()) << "seed " << seed;
@@ -397,7 +397,7 @@ TEST(CoreEventOverflowFuzz, FarFutureLatenciesKeepListsConsistent)
 /**
  * One ReadyMaskFuzz trial: run @p cfg over @p sp's synthetic stream
  * and, every @p every cycles, cross-validate the issue window's bit
- * planes against readyListConsistent() — the brute-force model-
+ * planes against planesConsistent() — the brute-force model-
  * readiness predicate (same members, oldest-first order) plus the
  * dependency-matrix completeness check (every in-window producer ->
  * consumer dependence has its bit, so no wakeup can be missed) — and
@@ -417,7 +417,7 @@ runMaskTrial(const core::SyntheticParams &sp, const core::CoreConfig &cfg,
         c.tick();
         if (guard % every)
             continue;
-        ASSERT_TRUE(c.readyListConsistent())
+        ASSERT_TRUE(c.planesConsistent())
             << label << " cycle " << c.cycle();
         const core::IssueWindowMasks &m = c.issueMasks();
         for (unsigned s = 0; s < cfg.ruu_size; ++s) {

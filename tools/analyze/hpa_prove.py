@@ -126,7 +126,7 @@ PRUNE_GUARDS = [
     ("hpa::detail::invariantFailed(",
      "HPA_CHECK failure helper: [[noreturn]], throws "
      "InvariantViolation"),
-    ("hpa::core::Core::crossValidate(",
+    ("hpa::core::Core::crossValidatePlanes(",
      "periodic cross-validation pass: cold cadence, throws on "
      "divergence"),
     ("hpa::core::Core::invariantContext(",
@@ -135,10 +135,10 @@ PRUNE_GUARDS = [
     ("hpa::core::Core::dumpPipelineState(",
      "failure dump builder: runs only while an error is being "
      "raised"),
-    ("hpa::core::Core::sideListDivergence(",
-     "cross-validation helper: re-derives scheduler lists off the "
-     "hot path"),
-    ("hpa::core::Core::readyListConsistent(",
+    ("hpa::core::Core::planeDivergence(",
+     "cross-validation helper: re-derives the scheduler planes off "
+     "the hot path"),
+    ("hpa::core::Core::planesConsistent(",
      "test/cross-validation helper, O(window), never on the hot "
      "path"),
 ]

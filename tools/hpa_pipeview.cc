@@ -145,7 +145,7 @@ main(int argc, char **argv)
         sim::Simulation s(image, cfg, insts);
         std::vector<Row> rows;
         s.core().setCommitListener(
-            [&rows](const core::DynInst &di, uint64_t commit) {
+            [&rows](const core::CommittedInst &di, uint64_t commit) {
                 rows.push_back(Row{di.seq, di.rec->pc,
                                    di.rec->inst.disassemble(),
                                    di.fetchCycle, di.dispatchCycle,

@@ -110,7 +110,7 @@ THROW_SCOPE = ("src", "tools", "bench", "examples")
 HOT_PATH_FILES = {
     "src/core/core.cc",
     "src/core/core.hh",
-    "src/core/dyn_inst.hh",
+    "src/core/slot_record.hh",
     "src/core/issue_window.hh",
     "src/core/event_queue.hh",
     "src/core/containers.hh",

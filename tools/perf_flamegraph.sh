@@ -7,8 +7,12 @@
 # does a simulated cycle spend its time on".
 #
 # Usage: tools/perf_flamegraph.sh [-- <hpa_bench_sweep args>]
-#   HPA_PROFILE_DIR   output dir (default: profile/)
+#   HPA_PROFILE_DIR   output dir (default: profile/ in the source tree)
 #   default workload: hpa_bench_sweep --insts 50000
+#
+# The profiled binary is configured and built in $HPA_PROFILE_DIR/build
+# on both paths, so the script writes nothing outside the output
+# directory (under ctest that is inside the test's build tree).
 #
 # Outputs, depending on tooling:
 #   perf path:  profile/perf.data, profile/folded.txt
@@ -19,6 +23,11 @@ cd "$(dirname "$0")/.."
 
 OUT="${HPA_PROFILE_DIR:-profile}"
 mkdir -p "$OUT"
+# Absolute: the gprof run changes into $OUT (gmon.out lands in the
+# CWD of the run) and must still find the binary.
+OUT="$(cd "$OUT" && pwd)"
+BUILD="$OUT/build"
+BIN="$BUILD/tools/hpa_bench_sweep"
 
 ARGS=(--insts 50000)
 if [ "${1:-}" = "--" ]; then
@@ -28,10 +37,9 @@ fi
 
 if command -v perf >/dev/null 2>&1; then
     echo "== perf found: sampling with call graphs =="
-    cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build build -j"$(nproc)" --target hpa_bench_sweep
-    perf record -g --output "$OUT/perf.data" -- \
-        ./build/tools/hpa_bench_sweep "${ARGS[@]}"
+    cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    cmake --build "$BUILD" -j"$(nproc)" --target hpa_bench_sweep
+    perf record -g --output "$OUT/perf.data" -- "$BIN" "${ARGS[@]}"
     perf script --input "$OUT/perf.data" \
         | awk '
             # Minimal stack folding: collapse each sample stack into
@@ -49,13 +57,9 @@ if command -v perf >/dev/null 2>&1; then
     echo "render: flamegraph.pl $OUT/folded.txt > $OUT/flame.svg"
 elif command -v gprof >/dev/null 2>&1; then
     echo "== no perf; falling back to gprof (-pg build) =="
-    cmake -B build-prof -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-pg" -DCMAKE_EXE_LINKER_FLAGS="-pg"
-    cmake --build build-prof -j"$(nproc)" --target hpa_bench_sweep
-    # Absolute binary path: gmon.out lands in the CWD of the run, so
-    # we cd into $OUT (which may itself be absolute, e.g. when ctest
-    # sets HPA_PROFILE_DIR) and invoke the binary from the repo root.
-    BIN="$PWD/build-prof/tools/hpa_bench_sweep"
+    cmake --build "$BUILD" -j"$(nproc)" --target hpa_bench_sweep
     (cd "$OUT" && "$BIN" "${ARGS[@]}")
     gprof "$BIN" "$OUT/gmon.out" > "$OUT/gprof.txt"
     echo "wrote $OUT/gprof.txt (flat profile + call graph)"
