@@ -182,23 +182,62 @@ fnv1a(const std::string &text)
     return h;
 }
 
-/** `key digest` lines of @p path ('#' lines are comments). */
-std::map<std::string, std::string>
-readDigests(const std::string &path)
+/**
+ * A golden listing of `key value...` lines ('#' lines are comments):
+ * check() compares one key's value (the rest of its line), finish()
+ * reports the mismatches and, if there are any, writes the full
+ * actual listing as `<name>.actual.txt` in the working directory for
+ * review before re-recording.
+ */
+class GoldenListing
 {
-    std::map<std::string, std::string> out;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string key, digest;
-        ls >> key >> digest;
-        out[key] = digest;
+  public:
+    explicit GoldenListing(const std::string &name) : name_(name)
+    {
+        std::ifstream in(std::string(HPA_GOLDEN_DIR) + "/" + name
+                         + ".txt");
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            size_t sp = line.find(' ');
+            golden_[line.substr(0, sp)] =
+                sp == std::string::npos ? "" : line.substr(sp + 1);
+        }
     }
-    return out;
-}
+
+    void
+    check(const std::string &key, const std::string &value)
+    {
+        actual_ << key << " " << value << "\n";
+        auto it = golden_.find(key);
+        if (it != golden_.end() && it->second == value)
+            return;
+        if (++mismatched_ <= 10)
+            ADD_FAILURE() << name_ << " " << key << ": " << value
+                          << ", golden "
+                          << (it == golden_.end() ? "missing"
+                                                  : it->second);
+    }
+
+    void
+    finish(size_t cells)
+    {
+        EXPECT_EQ(golden_.size(), cells) << name_;
+        if (!mismatched_)
+            return;
+        std::ofstream(name_ + ".actual.txt") << actual_.str();
+        ADD_FAILURE() << name_ << ": " << mismatched_ << " of " << cells
+                      << " cells moved; actual listing written to "
+                      << name_ << ".actual.txt";
+    }
+
+  private:
+    std::string name_;
+    std::map<std::string, std::string> golden_;
+    std::ostringstream actual_;
+    unsigned mismatched_ = 0;
+};
 
 TEST(PolicyGrid, EveryRegisteredPairRunsCleanAtBothWidths)
 {
@@ -206,11 +245,13 @@ TEST(PolicyGrid, EveryRegisteredPairRunsCleanAtBothWidths)
     // the paper and zoo grids (tag-elim + half-xbar, dlt + seq-rf,
     // ...), at both Table 1 widths on every workload, with the
     // scheduler cross-check on: each cell must finish its budget
-    // with no invariant, deadlock or accounting failure, and its
-    // full hpa.stats.v1 document must hash to the recorded digest.
-    // The digest catches what no IPC golden does: a per-slot field
-    // leaking across slot reuse moves sched.* or rf.* counters
-    // without moving IPC.
+    // with no invariant, deadlock or accounting failure, its full
+    // hpa.stats.v1 document must hash to the recorded digest, and
+    // the last-arrival monitor (Figure 7's shadow predictors, not a
+    // registered statistic) must hold the recorded counts. These
+    // catch what no IPC golden does: a per-slot field leaking across
+    // slot reuse moves sched.* or rf.* counters, or the shadow
+    // predictors' scores, without moving IPC.
     const uint64_t BUDGET = 2000;
     std::vector<sim::SweepJob> jobs;
     std::vector<std::string> keys;
@@ -242,10 +283,7 @@ TEST(PolicyGrid, EveryRegisteredPairRunsCleanAtBothWidths)
     workloads::WorkloadCache cache;
     auto res = sim::SweepRunner(4, &cache).run(jobs);
     ASSERT_EQ(res.size(), jobs.size());
-    const auto golden =
-        readDigests(HPA_GOLDEN_DIR "/policy_grid_stats.txt");
-    std::ostringstream actual;
-    unsigned mismatched = 0;
+    GoldenListing stats("policy_grid_stats"), lap("policy_grid_lap");
     for (size_t i = 0; i < res.size(); ++i) {
         const sim::SweepResult &r = res[i];
         std::string what = r.spec.machine.name + "|" + r.spec.workload;
@@ -260,25 +298,18 @@ TEST(PolicyGrid, EveryRegisteredPairRunsCleanAtBothWidths)
         std::snprintf(hex, sizeof hex, "%016llx",
                       static_cast<unsigned long long>(
                           fnv1a(doc.str())));
-        actual << keys[i] << " " << hex << "\n";
-        auto it = golden.find(keys[i]);
-        if (it == golden.end() || it->second != hex) {
-            if (++mismatched <= 10)
-                ADD_FAILURE() << keys[i] << ": stats digest " << hex
-                              << ", golden "
-                              << (it == golden.end() ? "missing"
-                                                     : it->second);
-        }
+        stats.check(keys[i], hex);
+
+        const core::LastArrivalMonitor &m = r.sim->core().lapMonitor();
+        std::string counts = std::to_string(m.samples()) + " "
+            + std::to_string(m.simultaneous());
+        for (unsigned k = 0; k < core::LastArrivalMonitor::NUM_SIZES;
+             ++k)
+            counts += " " + std::to_string(m.correct(k));
+        lap.check(keys[i], counts);
     }
-    EXPECT_EQ(golden.size(), jobs.size());
-    if (mismatched) {
-        // The full listing, for review before re-recording the
-        // golden (a digest moves only when a statistic does).
-        std::ofstream("policy_grid_stats.actual.txt") << actual.str();
-        ADD_FAILURE() << mismatched << " of " << jobs.size()
-                      << " cells moved; actual digests written to "
-                         "policy_grid_stats.actual.txt";
-    }
+    stats.finish(jobs.size());
+    lap.finish(jobs.size());
 }
 
 TEST(SweepTraceCache, ReplayGridMatchesEmulatorGridByteForByte)
