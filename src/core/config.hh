@@ -165,13 +165,15 @@ struct CoreConfig
     uint64_t watchdog_cycles = 100000;
 
     /**
-     * Periodic scheduler cross-validation: every N cycles the
-     * incrementally maintained ready/issued/store lists are re-derived
-     * from the window by brute force and compared, and the dependency
-     * matrix is checked to hold every in-window producer -> consumer
-     * operand bit; a mismatch throws hpa::InvariantViolation naming
-     * the diverged list or the missing bit. The pass is O(window) —
-     * costless when 0 (the default, one compare/cycle).
+     * Periodic scheduler cross-validation (Core::crossValidatePlanes):
+     * every N cycles the issue window's ready, issued and occupancy
+     * planes and the store ring are re-derived by brute force from
+     * the slot state (the ready plane from the readiness predicate)
+     * and compared, and the dependency matrix is checked to hold
+     * every in-window producer -> consumer operand bit; a mismatch
+     * throws hpa::InvariantViolation naming the diverged plane or the
+     * missing bit. The pass is O(window) — costless when 0 (the
+     * default, one compare/cycle).
      */
     uint64_t check_interval = 0;
 

@@ -134,8 +134,8 @@ scanSetBitsFrom(const uint64_t *w, unsigned slots, unsigned head,
 
 /** Like scanSetBitsFrom over the intersection a & b (or a & ~b when
  *  @p complement_b): select's priority-class split scans
- *  ready & highPrio then ready & ~highPrio, so neither pass loads
- *  the DynInsts of the other class. @p fn(bit) returns false to
+ *  ready & highPrio then ready & ~highPrio, so neither pass visits
+ *  the slots of the other class. @p fn(bit) returns false to
  *  stop early (the width budget). */
 template <typename Fn>
 inline void

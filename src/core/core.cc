@@ -498,7 +498,8 @@ Core::commit()
         ++stats_.committed;
         lastCommitCycle_ = cycle_;
 
-        head_ = (head_ + 1) % cfg_.ruu_size;
+        if (++head_ == cfg_.ruu_size)
+            head_ = 0;
         --windowCount_;
         --budget;
     }
@@ -771,9 +772,9 @@ Core::squashWindow(uint64_t first_cycle, uint64_t last_cycle,
 {
     // Collect issued-in-shadow instructions. The issued plane holds
     // the issued window entries; those still incomplete are the
-    // candidates. Detections deliver before this cycle's completions
-    // would, so an entry completing this very cycle still counts as
-    // incomplete (completeCycle >= cycle_). Scanning from head_
+    // candidates. Detections are handled first in a cycle, so an
+    // entry completing this very cycle still counts as incomplete
+    // (completeCycle >= cycle_). Scanning from head_
     // visits them oldest first, the same order as a head-to-tail
     // window scan. The scratch vectors are members (capacity
     // reserved at window size), so recovery allocates nothing once
@@ -1366,7 +1367,8 @@ Core::dispatch()
         if (rec.inst.isMemRef())
             ++lsqCount_;
 
-        tail_ = (tail_ + 1) % cfg_.ruu_size;
+        if (++tail_ == cfg_.ruu_size)
+            tail_ = 0;
         ++windowCount_;
         ++stats_.dispatched;
         --budget;

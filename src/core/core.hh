@@ -173,6 +173,7 @@ class Core
      *  host-independent work count. Deliberately not a registered
      *  statistic, so it adds nothing to hpa.stats.v1 documents. */
     uint64_t eventsScheduled() const { return events_.scheduled(); }
+
     const CoreConfig &config() const { return cfg_; }
     const LastArrivalMonitor &lapMonitor() const { return lapMon_; }
     mem::Hierarchy &hierarchy() { return hier_; }
@@ -291,9 +292,9 @@ class Core
         TagElimDetect,  ///< scoreboard flags a premature issue
     };
 
-    /** 16 bytes — about two events per simulated cycle flow through
-     *  the calendar (EventCount.PinnedOnFourWideGzip), so the packed
-     *  layout is worth the int16 slot. */
+    /** 16 bytes — 1.6 events per simulated cycle flow through the
+     *  calendar (4-wide gzip, 50k insts: EventCount pins the count),
+     *  so the packed layout is worth the int16 slot. */
     struct Event
     {
         uint64_t seq;
@@ -312,9 +313,9 @@ class Core
 
     /** Same-cycle delivery order of coincident events: detections
      *  (recovery) first, wakeups second. Events of equal rank process
-     *  in schedule order. A detection at cycle c therefore still sees
-     *  an instruction completing at c as incomplete (completeCycle
-     *  >= c), exactly as when completion was a middle-rank event. */
+     *  in schedule order. A detection at cycle c counts an
+     *  instruction completing at c as incomplete (completeCycle >= c),
+     *  so its squash can still pull that instruction back. */
     static unsigned
     eventRank(EventKind k)
     {
