@@ -8,7 +8,8 @@
 #
 # Usage: tools/perf_flamegraph.sh [-- <hpa_bench_sweep args>]
 #   HPA_PROFILE_DIR   output dir (default: profile/ in the source tree)
-#   default workload: hpa_bench_sweep --insts 50000
+#   default workload: hpa_bench_sweep --insts 50000 --jobs 1 (gprof
+#   samples only the main thread, so more workers hide their cells)
 #
 # The profiled binary is configured and built in $HPA_PROFILE_DIR/build
 # on both paths, so the script writes nothing outside the output
@@ -29,7 +30,7 @@ OUT="$(cd "$OUT" && pwd)"
 BUILD="$OUT/build"
 BIN="$BUILD/tools/hpa_bench_sweep"
 
-ARGS=(--insts 50000)
+ARGS=(--insts 50000 --jobs 1)
 if [ "${1:-}" = "--" ]; then
     shift
     ARGS=("$@")
