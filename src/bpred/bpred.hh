@@ -28,6 +28,8 @@ struct BPredConfig
     unsigned btb_entries = 1024;
     unsigned btb_assoc = 4;
     unsigned ras_entries = 16;
+
+    bool operator==(const BPredConfig &) const = default;
 };
 
 /** A table of 2-bit saturating counters. */

@@ -187,6 +187,9 @@ struct CoreConfig
     bpred::BPredConfig bpred;
     mem::HierarchyConfig mem;
 
+    /** Field-wise equality: two configs simulate the same machine. */
+    bool operator==(const CoreConfig &) const = default;
+
     /** Effective RF pipeline depth added by the ExtraStage model. */
     unsigned
     extraRfStages() const

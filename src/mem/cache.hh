@@ -26,6 +26,8 @@ struct CacheConfig
     unsigned line_bytes = 32;
     /** Access (hit) latency in cycles. */
     unsigned latency = 2;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Result of a timing access. */

@@ -22,6 +22,8 @@ struct HierarchyConfig
     CacheConfig dl1{"dl1", 64 * 1024, 4, 16, 2};
     CacheConfig l2{"l2", 512 * 1024, 4, 64, 8};
     unsigned mem_latency = 50;
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /** IL1/DL1 + unified L2 + main memory. */

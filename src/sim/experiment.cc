@@ -106,10 +106,29 @@ MachineBuilder::rename(core::RenameModel r)
     return *this;
 }
 
+namespace
+{
+
+/** Name suffix for a numeric knob: "/<tag><value>" when @p value is
+ *  not the CoreConfig default, else nothing, so default machines keep
+ *  the names that key the golden gates. */
+std::string
+knobSuffix(const char *tag, unsigned value, unsigned default_value)
+{
+    if (value == default_value)
+        return {};
+    std::string suffix = "/";
+    suffix.append(tag).append(std::to_string(value));
+    return suffix;
+}
+
+} // namespace
+
 MachineBuilder &
 MachineBuilder::lap(unsigned entries)
 {
     m_.cfg.lap_entries = entries;
+    m_.name += knobSuffix("lap", entries, core::CoreConfig{}.lap_entries);
     lapSet_ = true;
     return *this;
 }
@@ -118,6 +137,8 @@ MachineBuilder &
 MachineBuilder::bypassWindow(unsigned cycles)
 {
     m_.cfg.bypass_window = cycles;
+    m_.name +=
+        knobSuffix("bypass", cycles, core::CoreConfig{}.bypass_window);
     return *this;
 }
 
@@ -125,6 +146,8 @@ MachineBuilder &
 MachineBuilder::detectDelay(unsigned cycles)
 {
     m_.cfg.tagelim_detect_delay = cycles;
+    m_.name += knobSuffix("detect", cycles,
+                          core::CoreConfig{}.tagelim_detect_delay);
     detectSet_ = true;
     return *this;
 }

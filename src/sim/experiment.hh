@@ -6,9 +6,9 @@
  * carries the achieved IPC, the budgets actually consumed, the
  * fast-forward count and the full statistics snapshot — emittable as
  * schema-versioned JSON. This is the stable programmatic surface the
- * tools, bench harnesses and sweep engine all drive the simulator
- * through; the builder is the single machine-construction path, and
- * policies can be selected by registry name (schedPolicy()/
+ * tools, the figures driver and the sweep engine all drive the
+ * simulator through; the builder is the single machine-construction
+ * path, and policies can be selected by registry name (schedPolicy()/
  * rfPolicy(), see core/policy_registry.hh) or by enum.
  */
 
@@ -93,7 +93,10 @@ struct RunOutcome
  *
  * Each setter updates the configuration and appends the historical
  * machine-name suffix from the policy registry (the names key the
- * golden IPC gate, so they are part of the stable surface).
+ * golden IPC gate, so they are part of the stable surface). The
+ * numeric knobs append "/lap<N>", "/bypass<N>" and "/detect<N>" only
+ * when the value differs from the CoreConfig default, so distinct
+ * machines get distinct names while default machines keep theirs.
  * build() — or the implicit Machine conversion — validates the
  * combination and throws std::invalid_argument on contradictions:
  * a lap() table on a predictor-less wakeup scheme, a non-power-of-2

@@ -184,10 +184,20 @@ SweepRunner::run(std::vector<SweepJob> jobs)
     // Every cell writes only its own result slot, so scheduling
     // never affects results.
     std::vector<SweepResult> results(jobs.size());
-    parallelFor(jobs.size(), jobs_, [&](size_t i) {
-        results[i] = runOne(jobs[i], *cache_);
+    runEach(jobs, [&](size_t i, SweepResult &&r) {
+        results[i] = std::move(r);
     });
     return results;
+}
+
+void
+SweepRunner::runEach(
+    const std::vector<SweepJob> &jobs,
+    const std::function<void(size_t, SweepResult &&)> &consume)
+{
+    parallelFor(jobs.size(), jobs_, [&](size_t i) {
+        consume(i, runOne(jobs[i], *cache_));
+    });
 }
 
 std::vector<Machine>

@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel sweep engine. Every figure/table harness replays the same
+ * Parallel sweep engine. Every figure table and grid replays the same
  * pattern — a loop over (workload, machine, budget) tuples, each an
  * independent Simulation — so the engine runs them as jobs on a
  * fixed thread pool: one isolated Simulation per job, workload
@@ -30,8 +30,7 @@ using SweepJob = ExperimentSpec;
 
 /** A completed sweep job. Historical name for RunResult
  *  (sim/experiment.hh); the Simulation is kept alive so callers read
- *  IPC, CoreStats, the LAP monitor, … exactly as they would after a
- *  serial runSim(). */
+ *  IPC, CoreStats, the LAP monitor, … exactly as after a serial run. */
 using SweepResult = RunResult;
 
 /**
@@ -57,12 +56,24 @@ class SweepRunner
      * isolated: a job that throws (invariant violation, deadlock,
      * timeout, bad workload) is returned as a Failed/TimedOut cell
      * — with the error kind, one-line text and failure context in
-     * its RunOutcome — and never disturbs the other cells, whose results stay bit-identical to a fault-free
-     * run. Cells are deterministic, so a failed cell is reported,
-     * never retried. Callers that still want all-or-nothing
-     * semantics wrap the result in requireAllOk().
+     * its RunOutcome — and never disturbs the other cells, whose
+     * results stay bit-identical to a fault-free run. Cells are
+     * deterministic, so a failed cell is reported, never retried.
+     * Callers that want all-or-nothing semantics pass the results to
+     * requireAllOk().
      */
     std::vector<SweepResult> run(std::vector<SweepJob> jobs);
+
+    /**
+     * Streaming run(): hand each finished cell to @p consume(i,
+     * result) on the worker thread that ran it, then drop it, so at
+     * most jobs() Simulations are alive at once however long the
+     * list. Cells are isolated exactly as in run(); @p consume must
+     * touch only state owned by index i.
+     */
+    void runEach(const std::vector<SweepJob> &jobs,
+                 const std::function<void(size_t, SweepResult &&)>
+                     &consume);
 
     /**
      * Deterministic parallel loop: fn(0..n-1) each exactly once,
@@ -84,9 +95,10 @@ class SweepRunner
 /**
  * All-or-nothing view of a sweep: throws hpa::WorkloadError listing
  * every failed cell (workload, machine, one-line error) when any
- * result is not ok. Harnesses that cannot use partial results — the
- * figure and table generators — call this right after
- * SweepRunner::run().
+ * result is not ok. Generators that cannot use partial results —
+ * tools/hpa_figures — call this once every cell has finished; a
+ * result whose sim was already dropped still carries its spec and
+ * outcome.
  */
 void requireAllOk(const std::vector<SweepResult> &results);
 

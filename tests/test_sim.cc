@@ -259,6 +259,45 @@ TEST(Builder, BypassWindowMustBeAtLeastOneCycle)
     EXPECT_EQ(m.cfg.bypass_window, 3u);
 }
 
+TEST(Builder, NumericKnobsNameTheMachine)
+{
+    using core::RegfileModel;
+    using core::WakeupModel;
+    // Default knob values keep the names the golden gates key on...
+    EXPECT_EQ(Machine::base(4)
+                  .regfile(RegfileModel::SequentialAccess)
+                  .bypassWindow(1)
+                  .build()
+                  .name,
+              "4-wide/seq-rf");
+    EXPECT_EQ(Machine::base(4)
+                  .wakeup(WakeupModel::Sequential)
+                  .lap(1024)
+                  .build()
+                  .name,
+              "4-wide/seq-wakeup");
+    EXPECT_EQ(Machine::base(8)
+                  .wakeup(WakeupModel::TagElimination)
+                  .lap(1024)
+                  .detectDelay(1)
+                  .build()
+                  .name,
+              "8-wide/tag-elim");
+    // ...and any other value tells the machines apart, so a run
+    // document or a deduplicating sweep never merges them.
+    Machine w3 = Machine::base(4)
+                     .regfile(RegfileModel::SequentialAccess)
+                     .bypassWindow(3);
+    EXPECT_EQ(w3.name, "4-wide/seq-rf/bypass3");
+    Machine lap128 =
+        Machine::base(4).wakeup(WakeupModel::Sequential).lap(128);
+    EXPECT_EQ(lap128.name, "4-wide/seq-wakeup/lap128");
+    Machine d2 = Machine::base(8)
+                     .wakeup(WakeupModel::TagElimination)
+                     .detectDelay(2);
+    EXPECT_EQ(d2.name, "8-wide/tag-elim/detect2");
+}
+
 TEST(Builder, ImplicitConversionValidates)
 {
     // The implicit Machine conversion runs build(), so a bad chain

@@ -101,7 +101,7 @@ SIM_ERROR_TYPES = {
 }
 # Tests may throw anything: they exercise catch paths and std-base
 # compatibility on purpose.
-THROW_SCOPE = ("src", "tools", "bench", "examples")
+THROW_SCOPE = ("src", "tools", "examples")
 
 # --- HPA002 -----------------------------------------------------------
 # The Core::tick call graph: everything reachable from a tick,
@@ -165,7 +165,7 @@ INCLUDE_BANS = [
     ),
     (
         re.compile(r"#\s*include\s*<regex>"),
-        ("src/", "tools/", "bench/", "examples/", "tests/"),
+        ("src/", "tools/", "examples/", "tests/"),
         (),
         "<regex> is a compile-time and runtime heavyweight; use "
         "hand-rolled parsing",
